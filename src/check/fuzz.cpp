@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -11,6 +12,7 @@
 #include "adapt/adaptive_strategy.hpp"
 #include "check/invariants.hpp"
 #include "check/reference_dispatcher.hpp"
+#include "check/reference_slo.hpp"
 #include "exact/certify_scale.hpp"
 #include "exact/optimal.hpp"
 #include "hetero/uniform_machines.hpp"
@@ -22,6 +24,8 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
+#include "serve/arrivals.hpp"
+#include "serve/slo.hpp"
 #include "serve/streaming_dispatcher.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
@@ -330,7 +334,7 @@ FuzzCase restrict_tasks(const FuzzCase& fuzz_case, std::size_t num_tasks) {
 
 namespace {
 
-constexpr std::size_t kChecksPerCase = 13;
+constexpr std::size_t kChecksPerCase = 14;
 constexpr double kTol = 1e-9;
 
 struct CheckContext {
@@ -762,6 +766,130 @@ void check_adaptive_bound(const CheckContext& ctx) {
   }
 }
 
+/// Bitwise equality: tells -0.0 from 0.0 and compares every Summary
+/// field at once.
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// First difference between two SLO reports, empty when bit-identical.
+std::string diff_slo_reports(const SloReport& got, const SloReport& want) {
+  if (got.windows.size() != want.windows.size()) {
+    return "window count " + std::to_string(got.windows.size()) + " vs " +
+           std::to_string(want.windows.size());
+  }
+  for (std::size_t w = 0; w < got.windows.size(); ++w) {
+    const SloWindow& a = got.windows[w];
+    const SloWindow& b = want.windows[w];
+    const char* field = nullptr;
+    if (!same_bits(a.t0, b.t0) || !same_bits(a.t1, b.t1)) {
+      field = "edges";
+    } else if (!same_bits(a.response, b.response)) {
+      field = "response summary";
+    } else if (!same_bits(a.queue_wait, b.queue_wait)) {
+      field = "queue-wait summary";
+    } else if (!same_bits(a.backlog_watermark, b.backlog_watermark)) {
+      field = "backlog watermark";
+    } else if (a.violated != b.violated) {
+      field = "verdict";
+    }
+    if (field != nullptr) {
+      return "window " + std::to_string(w) + " of " +
+             std::to_string(got.windows.size()) + ": " + field + " differs";
+    }
+  }
+  if (got.violating_windows != want.violating_windows ||
+      got.max_consecutive_violations != want.max_consecutive_violations ||
+      !same_bits(got.burn_rate, want.burn_rate) ||
+      got.sustained_violation != want.sustained_violation) {
+    return "report totals differ";
+  }
+  return {};
+}
+
+void check_slo_differential(const CheckContext& ctx) {
+  // Windowed SLO evaluation against its naive oracle on real staggered
+  // arrivals: Poisson, MMPP-2 bursts, equal-time ties and an unsorted
+  // vector, each over a window width that is not exactly representable
+  // -- half the time pinned to a finish time so some sample sits on a
+  // rounded window edge. Every SloReport field must be bit-identical.
+  // compute_serve_stats is held to a plain id-order Histogram fold.
+  const FuzzCase& c = ctx.c;
+  const std::size_t n = c.instance.num_tasks();
+  Xoshiro256 rng(c.seed ^ 0x5105105105105105ULL);
+  double work = 0.0;
+  for (const Time p : c.actual.actual) work += p;
+  const double mean_service = work / static_cast<double>(n);
+  const char* regimes[] = {"poisson", "burst", "ties", "unsorted"};
+  for (const char* regime : regimes) {
+    const std::string name = regime;
+    ArrivalParams params;
+    params.model = name == "burst" ? ArrivalModel::kBurst : ArrivalModel::kPoisson;
+    // Offered load from light to saturated.
+    params.rate = sample_uniform(rng, 0.3, 2.0) *
+                  static_cast<double>(c.instance.num_machines()) / mean_service;
+    params.burst_on = 5.0 / params.rate;
+    params.burst_off = 20.0 / params.rate;
+    params.seed = rng.next();
+    std::vector<Time> arrivals = generate_arrivals(params, n);
+    if (name == "ties") {
+      const double grain = 2.0 * mean_service;
+      for (Time& t : arrivals) t = std::floor(t / grain) * grain;
+    } else if (name == "unsorted") {
+      shuffle(rng, arrivals);
+    }
+    const Schedule schedule =
+        serve_stream(c.instance, c.placement, c.actual, c.priority, arrivals)
+            .schedule;
+
+    SloSpec spec;
+    spec.sustain = 1 + static_cast<std::size_t>(rng.next_below(4));
+    const double horizon = schedule.makespan();
+    const double windows = sample_uniform(rng, 1.5, 40.0);
+    if (rng.next_below(2) == 0) {
+      const TaskId j = static_cast<TaskId>(rng.next_below(n));
+      spec.window_seconds =
+          schedule.finish[j] / std::max(1.0, std::floor(windows * schedule.finish[j] / horizon));
+    } else {
+      spec.window_seconds = horizon / windows;
+    }
+    const double response_scale = horizon - arrivals[0];
+    if (rng.next_below(2) == 0) spec.p50 = sample_uniform(rng, 0.0, response_scale);
+    if (rng.next_below(2) == 0) spec.p90 = sample_uniform(rng, 0.0, response_scale);
+    spec.p99 = sample_uniform(rng, 0.0, response_scale);
+    if (rng.next_below(2) == 0) {
+      spec.backlog = static_cast<double>(rng.next_below(n + 1));
+    }
+    const std::string where = name + " arrivals, width " +
+                              std::to_string(spec.window_seconds) + ", sustain " +
+                              std::to_string(spec.sustain) + ": ";
+    if (const std::string diff =
+            diff_slo_reports(evaluate_slo(schedule, arrivals, spec),
+                             reference_evaluate_slo(schedule, arrivals, spec));
+        !diff.empty()) {
+      ctx.fail("slo-differential", where + diff);
+      return;
+    }
+
+    obs::Histogram response, queue_wait, service;
+    for (TaskId j = 0; j < n; ++j) {
+      response.observe(schedule.finish[j] - arrivals[j]);
+      queue_wait.observe(schedule.start[j] - arrivals[j]);
+      service.observe(schedule.finish[j] - schedule.start[j]);
+    }
+    const ServeStats stats = compute_serve_stats(schedule, arrivals);
+    if (!same_bits(stats.response, response.summary()) ||
+        !same_bits(stats.queue_wait, queue_wait.summary()) ||
+        !same_bits(stats.service, service.summary()) ||
+        stats.first_arrival != *std::min_element(arrivals.begin(), arrivals.end()) ||
+        stats.last_finish != horizon) {
+      ctx.fail("slo-differential", name + " arrivals: serve stats differ from a Histogram fold");
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 FuzzScenario fuzz_scenario_from_name(const std::string& name) {
@@ -791,6 +919,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_certify_ptas_lb(ctx);
   check_serve_drain_parity(ctx, online);
   check_adaptive_bound(ctx);
+  check_slo_differential(ctx);
   return failures;
 }
 

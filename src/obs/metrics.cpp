@@ -1,44 +1,46 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
 
 #include "io/json.hpp"
 
 namespace rdp::obs {
 
-Histogram::Histogram()
-    : buckets_(new std::atomic<std::uint64_t>[kNumBuckets]()) {}
+LocalHistogram::LocalHistogram() : buckets_(kNumBuckets, 0) {}
 
-std::size_t Histogram::bucket_index(double x) noexcept {
+std::size_t LocalHistogram::bucket_index(double x) noexcept {
   if (!(x > 0.0)) return kNonPositive;  // also catches NaN
-  if (!std::isfinite(x)) return kOverflow;
-  int exp = 0;
-  const double frac = std::frexp(x, &exp);  // x = frac * 2^exp, frac in [0.5, 1)
+  // Read frexp's decomposition x = frac * 2^exp (frac in [0.5, 1)) off
+  // the IEEE-754 bits: exp is the biased exponent minus 1022 (subnormals
+  // and infinity fall outside [kMinExp, kMaxExp) either way), and the
+  // linear sub-bucket floor((frac - 0.5) * 2 * kSubBuckets) is the top
+  // log2(kSubBuckets) bits of the fraction field.
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const int exp = static_cast<int>(bits >> 52) - 1022;
   if (exp < kMinExp) return kUnderflow;
   if (exp >= kMaxExp) return kOverflow;
-  int sub = static_cast<int>((frac - 0.5) * (2 * kSubBuckets));
-  if (sub < 0) sub = 0;
-  if (sub >= kSubBuckets) sub = kSubBuckets - 1;
+  constexpr int kSubBits = std::countr_zero(static_cast<unsigned>(kSubBuckets));
+  static_assert(kSubBuckets == 1 << kSubBits);
+  const auto sub = static_cast<std::size_t>((bits >> (52 - kSubBits)) &
+                                            (kSubBuckets - 1));
   return kFirstRegular +
          static_cast<std::size_t>(exp - kMinExp) *
              static_cast<std::size_t>(kSubBuckets) +
-         static_cast<std::size_t>(sub);
+         sub;
 }
 
-double Histogram::bucket_midpoint(std::size_t index) noexcept {
+double LocalHistogram::bucket_midpoint(std::size_t index) noexcept {
   const std::size_t r = index - kFirstRegular;
   const int exp = kMinExp + static_cast<int>(r / kSubBuckets);
   const auto sub = static_cast<double>(r % kSubBuckets);
   return std::ldexp(0.5 + (sub + 0.5) / (2.0 * kSubBuckets), exp);
 }
 
-void Histogram::observe(double x) noexcept {
-  buckets_[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(mutex_);
-  welford_.add(x);
+void LocalHistogram::add_to_sum(double x) noexcept {
   // Neumaier-compensated sum: exact to ~1 ulp of the true sum regardless
   // of count (mean * count drifts once counts get large).
   const double t = sum_ + x;
@@ -50,39 +52,42 @@ void Histogram::observe(double x) noexcept {
   sum_ = t;
 }
 
-namespace {
+void LocalHistogram::observe(double x) noexcept {
+  const std::size_t b = bucket_index(x);
+  ++buckets_[b];
+  lo_ = std::min(lo_, b);
+  hi_ = std::max(hi_, b + 1);
+  welford_.add(x);
+  add_to_sum(x);
+}
 
-/// Nearest-rank quantile over a bucket-count snapshot. `targets` must be
-/// ascending; writes one estimate per target.
-void quantiles_from_buckets(
-    const std::vector<std::uint64_t>& counts, double min, double max,
-    const double* targets, double* out, std::size_t num_targets,
-    double (*midpoint)(std::size_t), std::size_t first_regular,
-    std::size_t overflow) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) total += c;
+void LocalHistogram::quantiles(const double* targets, double* out,
+                               std::size_t num_targets) const noexcept {
+  const std::uint64_t total = welford_.count();
   if (total == 0) {
     for (std::size_t i = 0; i < num_targets; ++i) out[i] = 0.0;
     return;
   }
+  const double min = welford_.min();
+  const double max = welford_.max();
   std::uint64_t cumulative = 0;
-  std::size_t bucket = 0;
+  std::size_t bucket = lo_;
   for (std::size_t i = 0; i < num_targets; ++i) {
     auto rank = static_cast<std::uint64_t>(
         std::ceil(targets[i] * static_cast<double>(total)));
     if (rank < 1) rank = 1;
     if (rank > total) rank = total;
-    while (bucket < counts.size() && cumulative + counts[bucket] < rank) {
-      cumulative += counts[bucket];
+    while (bucket < hi_ && cumulative + buckets_[bucket] < rank) {
+      cumulative += buckets_[bucket];
       ++bucket;
     }
     double estimate;
-    if (bucket < first_regular) {
+    if (bucket < kFirstRegular) {
       estimate = min;  // non-positive / underflow: no log-linear midpoint
-    } else if (bucket >= overflow) {
+    } else if (bucket >= kOverflow) {
       estimate = max;
     } else {
-      estimate = midpoint(bucket);
+      estimate = bucket_midpoint(bucket);
     }
     if (estimate < min) estimate = min;
     if (estimate > max) estimate = max;
@@ -90,101 +95,82 @@ void quantiles_from_buckets(
   }
 }
 
-}  // namespace
-
-Histogram::Summary Histogram::summary() const noexcept {
+LocalHistogram::Summary LocalHistogram::summary() const noexcept {
   Summary s;
-  std::vector<std::uint64_t> counts(kNumBuckets);
-  {
-    std::lock_guard lock(mutex_);
-    s.count = welford_.count();
-    s.mean = welford_.mean();
-    s.stddev = welford_.stddev();
-    s.min = welford_.count() ? welford_.min() : 0.0;
-    s.max = welford_.count() ? welford_.max() : 0.0;
-    s.sum = sum_ + sum_compensation_;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
-  }
+  s.count = welford_.count();
+  s.mean = welford_.mean();
+  s.stddev = welford_.stddev();
+  s.min = s.count ? welford_.min() : 0.0;
+  s.max = s.count ? welford_.max() : 0.0;
+  s.sum = sum_ + sum_compensation_;
   const double targets[] = {0.50, 0.90, 0.99};
   double estimates[3] = {0.0, 0.0, 0.0};
-  quantiles_from_buckets(counts, s.min, s.max, targets, estimates, 3,
-                         &Histogram::bucket_midpoint, kFirstRegular, kOverflow);
+  quantiles(targets, estimates, 3);
   s.p50 = estimates[0];
   s.p90 = estimates[1];
   s.p99 = estimates[2];
   return s;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
+double LocalHistogram::quantile(double q) const noexcept {
+  if (q < 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  double estimate = 0.0;
+  quantiles(&q, &estimate, 1);
+  return estimate;
+}
+
+void LocalHistogram::merge(const LocalHistogram& other) noexcept {
   if (this == &other) return;
-  // Snapshot the source under its lock, then fold under ours. Taking the
-  // two locks in sequence (never nested) cannot deadlock even if two
-  // threads merge in opposite directions concurrently -- though doing so
-  // would interleave partial states, hence the header's contract.
-  std::vector<std::uint64_t> counts(kNumBuckets);
-  Welford moments;
-  double sum = 0.0;
-  double compensation = 0.0;
-  {
-    std::lock_guard lock(other.mutex_);
-    moments = other.welford_;
-    sum = other.sum_;
-    compensation = other.sum_compensation_;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      counts[i] = other.buckets_[i].load(std::memory_order_relaxed);
-    }
+  for (std::size_t i = other.lo_; i < other.hi_; ++i) {
+    buckets_[i] += other.buckets_[i];
   }
-  std::lock_guard lock(mutex_);
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    if (counts[i] != 0) {
-      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
-    }
-  }
-  welford_.merge(moments);
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
+  welford_.merge(other.welford_);
   // Two compensated sums combine into one by running Neumaier over the
   // other side's (sum, compensation) pair as if they were two samples:
   // the result keeps the error of both streams' totals to ~1 ulp.
-  for (const double x : {sum, compensation}) {
-    const double t = sum_ + x;
-    if (std::abs(sum_) >= std::abs(x)) {
-      sum_compensation_ += (sum_ - t) + x;
-    } else {
-      sum_compensation_ += (x - t) + sum_;
-    }
-    sum_ = t;
+  add_to_sum(other.sum_);
+  add_to_sum(other.sum_compensation_);
+}
+
+void LocalHistogram::reset() noexcept {
+  welford_ = Welford{};
+  sum_ = 0.0;
+  sum_compensation_ = 0.0;
+  if (lo_ < hi_) {
+    std::fill(buckets_.begin() + static_cast<std::ptrdiff_t>(lo_),
+              buckets_.begin() + static_cast<std::ptrdiff_t>(hi_), 0);
   }
+  lo_ = kNumBuckets;
+  hi_ = 0;
+}
+
+void Histogram::observe(double x) noexcept {
+  std::lock_guard lock(mutex_);
+  local_.observe(x);
+}
+
+Histogram::Summary Histogram::summary() const noexcept {
+  std::lock_guard lock(mutex_);
+  return local_.summary();
+}
+
+double Histogram::quantile(double q) const noexcept {
+  std::lock_guard lock(mutex_);
+  return local_.quantile(q);
+}
+
+void Histogram::merge(const Histogram& other) noexcept {
+  if (this == &other) return;
+  std::scoped_lock lock(mutex_, other.mutex_);
+  local_.merge(other.local_);
 }
 
 void Histogram::reset() noexcept {
   std::lock_guard lock(mutex_);
-  welford_ = Welford{};
-  sum_ = 0.0;
-  sum_compensation_ = 0.0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  std::vector<std::uint64_t> counts(kNumBuckets);
-  double min = 0.0;
-  double max = 0.0;
-  {
-    std::lock_guard lock(mutex_);
-    min = welford_.count() ? welford_.min() : 0.0;
-    max = welford_.count() ? welford_.max() : 0.0;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
-  }
-  double estimate = 0.0;
-  quantiles_from_buckets(counts, min, max, &q, &estimate, 1,
-                         &Histogram::bucket_midpoint, kFirstRegular, kOverflow);
-  return estimate;
+  local_.reset();
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -10,9 +10,9 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "stats/welford.hpp"
 
@@ -58,6 +58,20 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// What every histogram reports: Welford moments, the compensated sum,
+/// and bucket-estimated nearest-rank quantiles.
+struct HistogramSummary {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double stddev = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double sum = 0.0;
+  double p50 = 0.0;
+  double p90 = 0.0;
+  double p99 = 0.0;
+};
+
 /// Streaming distribution summary: Welford moments (count/mean/stddev/
 /// min/max), an exactly-compensated running sum (Neumaier), and an
 /// HDR-style log-linear bucket array for quantiles. Buckets subdivide
@@ -65,10 +79,14 @@ class Gauge {
 /// midpoint is within 1/(2*kSubBuckets) < 1% of every value it absorbs
 /// -- that is the documented relative-error bound on p50/p90/p99.
 ///
-/// Thread-safe: the moment accumulators take a short mutex; the bucket
-/// counters are lock-free relaxed atomics.
-class Histogram {
+/// Single owner: no locks, no atomics. This is the one implementation of
+/// the histogram arithmetic; Histogram below puts it behind a mutex. The
+/// occupied bucket range is tracked, so reset(), merge() and summary()
+/// cost scales with the buckets actually in use, not the full array.
+class LocalHistogram {
  public:
+  using Summary = HistogramSummary;
+
   /// Linear subdivisions per power of two. 64 gives a worst-case
   /// quantile relative error of 1/128 ~= 0.8%.
   static constexpr int kSubBuckets = 64;
@@ -79,21 +97,9 @@ class Histogram {
   static constexpr int kMinExp = -40;
   static constexpr int kMaxExp = 24;
 
-  Histogram();
+  LocalHistogram();
 
   void observe(double x) noexcept;
-
-  struct Summary {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double stddev = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double sum = 0.0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-  };
 
   [[nodiscard]] Summary summary() const noexcept;
 
@@ -106,14 +112,13 @@ class Histogram {
   /// Welford moment merge (Chan et al.), and Neumaier sums combined so
   /// the merged sum() stays exactly compensated. The result summarizes
   /// the union of both sample streams -- the rollup primitive behind
-  /// WindowedHistogram (obs/window.hpp) and sweep aggregation. Both
-  /// histograms' locks are taken (this first), so never merge two
-  /// histograms into each other concurrently.
-  void merge(const Histogram& other) noexcept;
+  /// WindowedHistogram (obs/window.hpp). Merging a histogram into itself
+  /// is a no-op.
+  void merge(const LocalHistogram& other) noexcept;
 
-  /// Discards every recorded sample (counts, moments, sums). The bucket
-  /// array is retained, so a reset histogram is reusable without
-  /// allocation -- window rings recycle interval slots through this.
+  /// Discards every recorded sample (counts, moments, sums). Only the
+  /// occupied buckets are cleared and the array is retained, so a reset
+  /// histogram is reusable without allocation.
   void reset() noexcept;
 
  private:
@@ -128,12 +133,41 @@ class Histogram {
 
   [[nodiscard]] static std::size_t bucket_index(double x) noexcept;
   [[nodiscard]] static double bucket_midpoint(std::size_t index) noexcept;
+  /// Nearest-rank estimates for ascending `targets`, one per target.
+  void quantiles(const double* targets, double* out,
+                 std::size_t num_targets) const noexcept;
+  void add_to_sum(double x) noexcept;
 
-  mutable std::mutex mutex_;
   Welford welford_;
-  double sum_ = 0.0;              // Neumaier-compensated running sum
+  double sum_ = 0.0;  // Neumaier-compensated running sum
   double sum_compensation_ = 0.0;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+  std::size_t lo_ = kNumBuckets;  ///< occupied buckets: [lo_, hi_)
+  std::size_t hi_ = 0;
+  std::vector<std::uint64_t> buckets_;
+};
+
+/// LocalHistogram behind a mutex: the thread-safe histogram the metrics
+/// registry hands out. Every call takes the lock once; there are no
+/// per-bucket atomics and no snapshot copies.
+class Histogram {
+ public:
+  using Summary = HistogramSummary;
+  static constexpr int kSubBuckets = LocalHistogram::kSubBuckets;
+
+  void observe(double x) noexcept;
+  [[nodiscard]] Summary summary() const noexcept;
+  [[nodiscard]] double quantile(double q) const noexcept;
+
+  /// LocalHistogram::merge under both locks (taken together, deadlock-
+  /// free). Merging two histograms into each other concurrently is still
+  /// a race on which union each ends up with.
+  void merge(const Histogram& other) noexcept;
+
+  void reset() noexcept;
+
+ private:
+  mutable std::mutex mutex_;
+  LocalHistogram local_;
 };
 
 /// A point-in-time copy of every metric in a registry, detached from the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -82,6 +84,62 @@ SloSpec parse_slo_spec(const std::string& text) {
   return spec;
 }
 
+namespace {
+
+/// Tasks grouped by the window holding one of their times (finish or
+/// start) under the grid's edge rule: a counting pass over window
+/// indices, then a sort of each window's contiguous slice by (time, id)
+/// -- the global (time, id) order without one global sort or a
+/// comparator that reads through the schedule. Regrouping reuses every
+/// buffer.
+class WindowSlices {
+ public:
+  struct Task {
+    double key;
+    TaskId id;
+  };
+
+  /// Tasks past the last window are left out: the sweep never reaches
+  /// them.
+  void group(std::span<const Time> times, const obs::WindowedHistogram& grid,
+             std::size_t num_windows) {
+    window_.resize(times.size());
+    offsets_.assign(num_windows + 2, 0);
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      const auto w = static_cast<std::uint32_t>(std::min(
+          static_cast<std::size_t>(grid.interval_index(times[j])), num_windows));
+      window_[j] = w;
+      ++offsets_[w + 1];
+    }
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+    tasks_.resize(offsets_[num_windows]);
+    cursor_.assign(offsets_.begin(), offsets_.end() - 2);
+    for (TaskId j = 0; j < times.size(); ++j) {
+      const std::uint32_t w = window_[j];
+      if (w < num_windows) tasks_[cursor_[w]++] = Task{times[j], j};
+    }
+    for (std::size_t w = 0; w < num_windows; ++w) {
+      const std::span<Task> slice = window(w);
+      std::sort(slice.begin(), slice.end(), [](const Task& x, const Task& y) {
+        return x.key != y.key ? x.key < y.key : x.id < y.id;
+      });
+    }
+  }
+
+  /// Window w's tasks in (time, id) order.
+  [[nodiscard]] std::span<Task> window(std::size_t w) noexcept {
+    return std::span<Task>(tasks_).subspan(offsets_[w], offsets_[w + 1] - offsets_[w]);
+  }
+
+ private:
+  std::vector<Task> tasks_;
+  std::vector<std::size_t> offsets_;  ///< window w: [offsets_[w], offsets_[w + 1])
+  std::vector<std::size_t> cursor_;
+  std::vector<std::uint32_t> window_;  ///< per-task window index
+};
+
+}  // namespace
+
 SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
                        const SloSpec& spec) {
   const std::size_t n = schedule.num_tasks();
@@ -94,34 +152,13 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
     if (schedule.assignment.machine_of[j] == kNoMachine) {
       throw std::invalid_argument("evaluate_slo: schedule has unassigned tasks");
     }
+    if (!std::isfinite(arrivals[j]) || !std::isfinite(schedule.start[j]) ||
+        !std::isfinite(schedule.finish[j])) {
+      throw std::invalid_argument("evaluate_slo: non-finite task time");
+    }
   }
 
-  const double horizon = schedule.makespan();
-  const double width = spec.window_seconds;
   const std::size_t sustain = std::max<std::size_t>(spec.sustain, 1);
-  const auto num_windows =
-      static_cast<std::size_t>(std::floor(horizon / width)) + 1;
-
-  // Tasks sorted by finish feed the response series, by start the
-  // queue-wait series; a merged +1/-1 sweep over (arrival, start) events
-  // tracks the admitted-but-unstarted backlog. All three cursors advance
-  // together, one interval at a time.
-  std::vector<TaskId> by_finish(n), by_start(n);
-  std::iota(by_finish.begin(), by_finish.end(), TaskId{0});
-  std::iota(by_start.begin(), by_start.end(), TaskId{0});
-  std::sort(by_finish.begin(), by_finish.end(), [&](TaskId a, TaskId b) {
-    return schedule.finish[a] != schedule.finish[b]
-               ? schedule.finish[a] < schedule.finish[b]
-               : a < b;
-  });
-  std::sort(by_start.begin(), by_start.end(), [&](TaskId a, TaskId b) {
-    return schedule.start[a] != schedule.start[b]
-               ? schedule.start[a] < schedule.start[b]
-               : a < b;
-  });
-  std::vector<Time> arrive_sorted(arrivals.begin(), arrivals.end());
-  std::sort(arrive_sorted.begin(), arrive_sorted.end());
-
   // The rolling response window is sustain-1 intervals deep (min 1): a
   // single bad interval then pollutes at most sustain-1 consecutive
   // window quantiles, which stays below the sustained-violation streak,
@@ -129,50 +166,73 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
   // intervals. A depth of `sustain` would make any one-interval tail
   // breach trip the verdict by construction.
   const std::size_t depth = std::max<std::size_t>(sustain - 1, 1);
-  obs::WindowedHistogram response_window(width, depth);
-  obs::Histogram interval_wait;
+  obs::WindowedHistogram response_window(spec.window_seconds, depth);
+  // One edge rule (WindowedHistogram::interval_index) sizes the run,
+  // files every finish, start and arrival, and is the [t0, t1) each
+  // window reports: the last window is the one holding the makespan.
+  const auto num_windows =
+      static_cast<std::size_t>(response_window.interval_index(schedule.makespan())) + 1;
+  if (num_windows >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("evaluate_slo: too many windows for the horizon");
+  }
+  report.windows.resize(num_windows);
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    report.windows[w].t0 = response_window.interval_start(static_cast<std::int64_t>(w));
+    report.windows[w].t1 = response_window.interval_end(static_cast<std::int64_t>(w));
+  }
 
-  std::size_t fin_cur = 0, start_cur = 0, arr_cur = 0;
+  // Response series: each window's finishes in (finish, id) order feed
+  // its interval of the ring, and the window reports the ring rollup.
+  WindowSlices slices;
+  slices.group(schedule.finish, response_window, num_windows);
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    const auto interval = static_cast<std::int64_t>(w);
+    for (const auto& [finish, j] : slices.window(w)) {
+      response_window.observe_at(interval, finish - arrivals[j]);
+    }
+    report.windows[w].response = response_window.window_summary_at(interval);
+  }
+
+  // Queue-wait series and backlog: a merged +1/-1 sweep over (arrival,
+  // start) events tracks the admitted-but-unstarted backlog, each
+  // window's starts in (start, id) order. Only arrival *times* enter the
+  // sweep, so ascending input (what generate_arrivals returns) needs no
+  // copy.
+  slices.group(schedule.start, response_window, num_windows);
+  std::vector<Time> arrivals_copy;
+  std::span<const Time> arrive_sorted = arrivals;
+  if (!std::is_sorted(arrivals.begin(), arrivals.end())) {
+    arrivals_copy.assign(arrivals.begin(), arrivals.end());
+    std::sort(arrivals_copy.begin(), arrivals_copy.end());
+    arrive_sorted = arrivals_copy;
+  }
+  obs::LocalHistogram interval_wait;
+  std::size_t arr_cur = 0;
   std::int64_t backlog_now = 0;
   std::size_t consecutive = 0;
-  report.windows.reserve(num_windows);
   for (std::size_t w = 0; w < num_windows; ++w) {
-    SloWindow win;
-    win.t0 = static_cast<double>(w) * width;
-    win.t1 = win.t0 + width;
-    // Half-open [t0, t1); the final window absorbs events at exactly the
-    // horizon (finish times equal to makespan land in it by the +1 in
-    // num_windows).
+    SloWindow& win = report.windows[w];
+    // Equal timestamps process the arrival first so an arrive-and-start-
+    // instantly task still registers as having been queued.
     interval_wait.reset();
     double watermark = static_cast<double>(backlog_now);
-    while (fin_cur < n && schedule.finish[by_finish[fin_cur]] < win.t1) {
-      const TaskId j = by_finish[fin_cur++];
-      response_window.observe(schedule.finish[j],
-                              schedule.finish[j] - arrivals[j]);
-    }
-    // Backlog sweep: arrivals enqueue, starts dequeue; equal timestamps
-    // process the arrival first so an arrive-and-start-instantly task
-    // still registers as having been queued.
-    while (arr_cur < n || start_cur < n) {
-      const double ta =
-          arr_cur < n ? arrive_sorted[arr_cur] : kNoSloTarget;
-      const double ts = start_cur < n
-                            ? schedule.start[by_start[start_cur]]
-                            : kNoSloTarget;
-      if (ta >= win.t1 && ts >= win.t1) break;
-      if (ta <= ts) {
+    const std::span<const WindowSlices::Task> starts = slices.window(w);
+    std::size_t start_cur = 0;
+    while (true) {
+      const bool arrival_due = arr_cur < n && arrive_sorted[arr_cur] < win.t1;
+      const bool start_due = start_cur < starts.size();
+      if (!arrival_due && !start_due) break;
+      if (arrival_due &&
+          (!start_due || arrive_sorted[arr_cur] <= starts[start_cur].key)) {
         ++arr_cur;
         ++backlog_now;
         watermark = std::max(watermark, static_cast<double>(backlog_now));
       } else {
-        const TaskId j = by_start[start_cur++];
-        interval_wait.observe(schedule.start[j] - arrivals[j]);
+        const auto [start, j] = starts[start_cur++];
+        interval_wait.observe(start - arrivals[j]);
         --backlog_now;
       }
     }
-    // Query at the interval midpoint: t0/width can round a hair below w
-    // and land the lookup in the previous interval.
-    win.response = response_window.window_summary(win.t0 + 0.5 * width);
     win.queue_wait = interval_wait.summary();
     win.backlog_watermark = watermark;
     const bool quantile_bad =
@@ -191,7 +251,6 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
     } else {
       consecutive = 0;
     }
-    report.windows.push_back(win);
   }
   report.burn_rate = report.windows.empty()
                          ? 0.0

@@ -79,10 +79,10 @@ void serve_stream(const Instance& instance, const Placement& placement,
 ///   queue wait = start - arrival   (admission to first byte of work)
 ///   service    = finish - start    (time on the machine)
 ///   response   = finish - arrival  (what the caller experienced; sojourn)
-/// Built from the schedule after the fact through obs::Histogram (HDR
-/// quantiles, <= 0.8% error), so the dispatch loop itself carries no
-/// instrumentation. Summaries rather than the histograms themselves:
-/// a Histogram owns a mutex and cannot be returned by value.
+/// Built from the schedule after the fact through single-owner
+/// obs::LocalHistogram folds (HDR quantiles, <= 0.8% error), so the
+/// dispatch loop itself carries no instrumentation. Summaries rather than
+/// the histograms themselves: each histogram holds a 32 KB bucket array.
 struct ServeStats {
   obs::Histogram::Summary response;
   obs::Histogram::Summary queue_wait;

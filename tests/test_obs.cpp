@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -298,6 +299,119 @@ TEST(HistogramMerge, ResetForgetsSamplesButStaysUsable) {
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.min, 5.0);
   EXPECT_DOUBLE_EQ(s.max, 5.0);
+}
+
+// --- LocalHistogram / Histogram: one arithmetic, two ownership models ---
+
+bool same_summary(const obs::HistogramSummary& a, const obs::HistogramSummary& b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(HistogramConcurrency, ConcurrentObservesMatchSingleThreadedFold) {
+  // 4 threads x 100k observes into one shared Histogram. Every quantity
+  // that does not depend on arrival order must match a single-threaded
+  // fold of the same multiset exactly; the compensated sum within 1 ulp.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100'000;
+  std::vector<std::vector<double>> slices(kThreads);
+  std::mt19937_64 rng(2024);
+  std::lognormal_distribution<double> dist(0.0, 2.0);
+  obs::LocalHistogram fold;
+  for (auto& slice : slices) {
+    slice.resize(kPerThread);
+    for (double& v : slice) {
+      v = dist(rng);
+      fold.observe(v);
+    }
+  }
+  obs::Histogram shared;
+  std::vector<std::thread> threads;
+  for (const auto& slice : slices) {
+    threads.emplace_back([&shared, &slice] {
+      for (const double v : slice) shared.observe(v);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const obs::HistogramSummary got = shared.summary();
+  const obs::HistogramSummary want = fold.summary();
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p99, want.p99);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_GE(got.sum, std::nextafter(want.sum, -kInf));
+  EXPECT_LE(got.sum, std::nextafter(want.sum, kInf));
+}
+
+TEST(HistogramParity, LocalAndLockedAgreeBitForBit) {
+  // The same interleaved observe / merge / reset script driven through
+  // both types: every summary and quantile must be bit-identical.
+  std::mt19937_64 rng(99);
+  std::lognormal_distribution<double> dist(1.0, 3.0);
+  std::uniform_int_distribution<int> op(0, 9);
+  obs::LocalHistogram la, lb;
+  obs::Histogram ha, hb;
+  for (int step = 0; step < 20'000; ++step) {
+    const int k = op(rng);
+    if (k < 5) {
+      const double v = k == 0 ? -dist(rng) : dist(rng);  // non-positive bucket too
+      la.observe(v);
+      ha.observe(v);
+    } else if (k < 8) {
+      const double v = dist(rng);
+      lb.observe(v);
+      hb.observe(v);
+    } else if (step % 97 == 0) {
+      la.reset();
+      ha.reset();
+    } else if (step % 89 == 0) {
+      lb.reset();
+      hb.reset();
+    } else {
+      la.merge(lb);
+      ha.merge(hb);
+    }
+    if (step % 250 == 0) {
+      ASSERT_TRUE(same_summary(la.summary(), ha.summary())) << "step " << step;
+      ASSERT_TRUE(same_summary(lb.summary(), hb.summary())) << "step " << step;
+      for (const double q : {0.0, 0.25, 0.5, 0.999, 1.0}) {
+        ASSERT_EQ(la.quantile(q), ha.quantile(q)) << "step " << step;
+      }
+    }
+  }
+  EXPECT_TRUE(same_summary(la.summary(), ha.summary()));
+  EXPECT_TRUE(same_summary(lb.summary(), hb.summary()));
+}
+
+TEST(HistogramReset, ClearsEveryOccupiedBucket) {
+  // Fill a wide bucket range, reset, then observe two values that
+  // straddle it. A stale count anywhere in between would capture p90
+  // (rank 2 of 2), and a stale count merged into another histogram
+  // would inflate its quantiles the same way.
+  obs::LocalHistogram h;
+  for (int i = 1; i <= 5000; ++i) h.observe(0.01 * i);
+  h.observe(0.0);  // the non-positive bucket, below the regular range
+  h.reset();
+  h.observe(1e-4);
+  h.observe(1e6);
+  obs::LocalHistogram fresh;
+  fresh.observe(1e-4);
+  fresh.observe(1e6);
+  EXPECT_TRUE(same_summary(h.summary(), fresh.summary()));
+
+  obs::LocalHistogram target, expected;
+  target.observe(3.0);
+  expected.observe(3.0);
+  target.merge(h);
+  expected.merge(fresh);
+  EXPECT_TRUE(same_summary(target.summary(), expected.summary()));
+  for (int i = 0; i <= 100; ++i) {
+    const double q = i / 100.0;
+    EXPECT_EQ(target.quantile(q), expected.quantile(q)) << "q=" << q;
+  }
 }
 
 TEST(Metrics, ReferencesAreStableAcrossLookups) {

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -302,21 +304,6 @@ TEST(WindowedHistogram, LargeTimeJumpClearsEverything) {
   EXPECT_DOUBLE_EQ(s.max, 42.0);
 }
 
-TEST(WindowedMax, TracksPerIntervalWatermarks) {
-  obs::WindowedMax window(1.0, 3);
-  window.observe(0.5, 3.0);
-  window.observe(0.7, 7.0);
-  window.observe(1.5, 2.0);
-  EXPECT_DOUBLE_EQ(window.interval_max(0.9), 7.0);
-  EXPECT_DOUBLE_EQ(window.interval_max(1.1), 2.0);
-  EXPECT_DOUBLE_EQ(window.interval_max(2.5, -1.0), -1.0);  // unseen interval
-  EXPECT_DOUBLE_EQ(window.window_max(1.9), 7.0);
-  // Rotating past interval 0 forgets the 7.0 peak.
-  EXPECT_DOUBLE_EQ(window.window_max(3.5), 2.0);
-  // Rotating past everything leaves only the fallback.
-  EXPECT_DOUBLE_EQ(window.window_max(100.0, 0.0), 0.0);
-}
-
 // --- SLO spec parsing ------------------------------------------------------
 
 TEST(SloSpec, ParsesTargetsAndGeometry) {
@@ -450,6 +437,87 @@ TEST(SloEvaluate, PublishesWindowGaugesWhenRegistryInstalled) {
   EXPECT_DOUBLE_EQ(registry.gauge("serve.window.burn_rate").value(), 0.0);
 }
 
+// Tasks given as (arrival, start, finish) triples on machine 0.
+Schedule triples_schedule(const std::vector<std::array<double, 3>>& tasks,
+                          std::vector<Time>* arrivals) {
+  Schedule schedule;
+  schedule.assignment.machine_of.assign(tasks.size(), 0);
+  arrivals->clear();
+  for (const auto& [arrive, start, finish] : tasks) {
+    arrivals->push_back(arrive);
+    schedule.start.push_back(start);
+    schedule.finish.push_back(finish);
+  }
+  return schedule;
+}
+
+// Windows whose response rollup contains a sample below `below` -- the
+// fast task in the edge-case tests below.
+std::size_t windows_holding_fast_sample(const SloReport& report, double below) {
+  std::size_t holding = 0;
+  for (const SloWindow& w : report.windows) {
+    if (w.response.count > 0 && w.response.min < below) ++holding;
+  }
+  return holding;
+}
+
+// The edge rule every series shares: a time belongs to the first window
+// whose reported t1 exceeds it.
+std::size_t window_holding(const SloReport& report, double t) {
+  for (std::size_t w = 0; w < report.windows.size(); ++w) {
+    if (t < report.windows[w].t1) return w;
+  }
+  return report.windows.size();
+}
+
+TEST(SloEvaluate, SampleOnAWindowEdgeIsNotDropped) {
+  // 17513.4 sits on a rounded edge of a 0.30000000000000004 s grid:
+  // floor(finish / width) and the window whose t1 first exceeds the
+  // finish disagree. The response must still be counted, in the window
+  // the edge rule names, and that window must be the last.
+  std::vector<Time> arrivals;
+  const Schedule schedule =
+      triples_schedule({{17513.3, 17513.35, 17513.4}}, &arrivals);
+  const SloReport report =
+      evaluate_slo(schedule, arrivals, parse_slo_spec("p99=1e9,window=0.30000000000000004,sustain=2"));
+  ASSERT_FALSE(report.windows.empty());
+  std::uint64_t responses = 0, waits = 0;
+  for (const SloWindow& w : report.windows) {
+    responses += w.response.count;
+    waits += w.queue_wait.count;
+  }
+  EXPECT_EQ(responses, 1u);
+  EXPECT_EQ(waits, 1u);
+  const std::size_t home = window_holding(report, 17513.4);
+  ASSERT_EQ(home + 1, report.windows.size());
+  EXPECT_EQ(report.windows.back().response.count, 1u);
+  EXPECT_EQ(report.windows[window_holding(report, 17513.35)].queue_wait.count, 1u);
+}
+
+TEST(SloEvaluate, EdgeSampleSlidesThroughEveryWindowOfItsDepth) {
+  // A later second task keeps windows open past the edge sample. With
+  // sustain=s the response window is max(s-1, 1) intervals deep, so the
+  // fast sample must appear in exactly that many consecutive windows,
+  // starting with the one the edge rule names.
+  std::vector<Time> arrivals;
+  const Schedule schedule = triples_schedule(
+      {{17513.3, 17513.35, 17513.4}, {17599.0, 17599.0, 17600.0}}, &arrivals);
+  for (const std::size_t sustain : {2u, 3u, 4u}) {
+    SloSpec spec = parse_slo_spec("p99=1e9,window=0.30000000000000004");
+    spec.sustain = sustain;
+    const SloReport report = evaluate_slo(schedule, arrivals, spec);
+    const std::size_t depth = std::max<std::size_t>(sustain - 1, 1);
+    EXPECT_EQ(windows_holding_fast_sample(report, 0.5), depth)
+        << "sustain=" << sustain;
+    const std::size_t home = window_holding(report, 17513.4);
+    ASSERT_LT(home + depth, report.windows.size());
+    for (std::size_t k = 0; k < depth; ++k) {
+      EXPECT_LT(report.windows[home + k].response.min, 0.5)
+          << "sustain=" << sustain << " window " << home + k;
+    }
+  }
+}
+
 TEST(SloEvaluate, RejectsMismatchedOrUnassignedInput) {
   std::vector<Time> arrivals;
   Schedule schedule = uniform_schedule(5, 0.5, &arrivals);
@@ -457,6 +525,10 @@ TEST(SloEvaluate, RejectsMismatchedOrUnassignedInput) {
   spec.p99 = 1.0;
   std::vector<Time> short_arrivals(arrivals.begin(), arrivals.end() - 1);
   EXPECT_THROW((void)evaluate_slo(schedule, short_arrivals, spec),
+               std::invalid_argument);
+  std::vector<Time> nan_arrivals = arrivals;
+  nan_arrivals[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)evaluate_slo(schedule, nan_arrivals, spec),
                std::invalid_argument);
   schedule.assignment.machine_of[2] = kNoMachine;
   EXPECT_THROW((void)evaluate_slo(schedule, arrivals, spec),
