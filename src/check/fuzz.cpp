@@ -680,53 +680,124 @@ void check_certify_ptas_lb(const CheckContext& ctx) {
   }
 }
 
-void check_serve_drain_parity(const CheckContext& ctx,
-                              const DispatchResult& online) {
-  // Drain mode: every task arrives at t = 0, so the streaming dispatcher
-  // must make exactly the offline decisions -- bit-identical schedule
-  // bytes AND the identical chronological trace (same dispatch order,
-  // same machines, same start times). This is the serve/ equivalence
-  // contract documented in docs/SERVING.md.
-  const FuzzCase& c = ctx.c;
-  const std::vector<Time> arrivals(c.instance.num_tasks(), Time{0});
-  const StreamingDispatchResult drained =
-      serve_stream(c.instance, c.placement, c.actual, c.priority, arrivals, {},
-                   c.speeds);
-  const DispatchResult offline = dispatch_online(
-      c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
-  if (const std::string diff = diff_schedules(drained.schedule, offline.schedule);
-      !diff.empty()) {
-    ctx.fail("serve-drain-parity", diff + " (with speeds)");
-    return;
+/// Mean realized duration of the case's tasks.
+double mean_service(const FuzzCase& c) {
+  double work = 0.0;
+  for (const Time p : c.actual.actual) work += p;
+  return work / static_cast<double>(c.instance.num_tasks());
+}
+
+/// Release times for one streaming regime at an offered load drawn from
+/// light to saturated: "poisson", "burst" (MMPP-2), "ties" (Poisson
+/// floored to a grain of two mean services, so equal-time cohorts form)
+/// or "unsorted" (Poisson, shuffled).
+std::vector<Time> fuzz_arrivals(const std::string& regime, const FuzzCase& c,
+                                Xoshiro256& rng) {
+  const double service = mean_service(c);
+  ArrivalParams params;
+  params.model = regime == "burst" ? ArrivalModel::kBurst : ArrivalModel::kPoisson;
+  params.rate = sample_uniform(rng, 0.3, 2.0) *
+                static_cast<double>(c.instance.num_machines()) / service;
+  params.burst_on = 5.0 / params.rate;
+  params.burst_off = 20.0 / params.rate;
+  params.seed = rng.next();
+  std::vector<Time> arrivals = generate_arrivals(params, c.instance.num_tasks());
+  if (regime == "ties") {
+    const double grain = 2.0 * service;
+    for (Time& t : arrivals) t = std::floor(t / grain) * grain;
+  } else if (regime == "unsorted") {
+    shuffle(rng, arrivals);
   }
-  if (drained.trace.size() != offline.trace.size()) {
-    ctx.fail("serve-drain-parity", "trace lengths diverge");
-    return;
+  return arrivals;
+}
+
+/// First difference between two dispatch traces, empty when every event
+/// is bit-identical.
+std::string diff_traces(const DispatchTrace& a, const DispatchTrace& b) {
+  if (a.size() != b.size()) {
+    return "trace lengths " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size());
   }
-  for (std::size_t k = 0; k < offline.trace.size(); ++k) {
-    const DispatchEvent& a = drained.trace.events[k];
-    const DispatchEvent& b = offline.trace.events[k];
-    if (a.when != b.when || a.task != b.task || a.machine != b.machine ||
-        a.actual != b.actual) {
-      ctx.fail("serve-drain-parity",
-               "trace event " + std::to_string(k) + " diverges (task " +
-                   std::to_string(a.task) + " vs " + std::to_string(b.task) +
-                   ")");
-      return;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const DispatchEvent& x = a.events[k];
+    const DispatchEvent& y = b.events[k];
+    if (x.when != y.when || x.task != y.task || x.machine != y.machine ||
+        x.actual != y.actual) {
+      return "trace event " + std::to_string(k) + " diverges (task " +
+             std::to_string(x.task) + " vs " + std::to_string(y.task) + ")";
     }
   }
-  if (drained.peak_backlog != c.instance.num_tasks()) {
-    ctx.fail("serve-drain-parity",
-             "drain-mode peak backlog " + std::to_string(drained.peak_backlog) +
-                 " != n");
-    return;
-  }
-  // Identical machines as well (the speeds-free division-less path).
-  const StreamingDispatchResult plain = serve_stream(
-      c.instance, c.placement, c.actual, c.priority, arrivals, {}, {});
-  if (const std::string diff = diff_schedules(plain.schedule, online.schedule);
-      !diff.empty()) {
-    ctx.fail("serve-drain-parity", diff);
+  return {};
+}
+
+void check_serve_stream_differential(const CheckContext& ctx) {
+  // The streaming dispatcher against its naive event-by-event oracle on
+  // real staggered arrivals -- Poisson, MMPP-2 bursts, equal-time ties,
+  // an unsorted vector -- and in drain mode (every arrival at t = 0),
+  // each with and without per-machine speeds and busy-until times.
+  // Schedule, trace and peak backlog must be bit-identical, and the
+  // schedule must respect release times and priority among arrived
+  // tasks. Drain mode is also held to the pre-rewrite offline dispatcher:
+  // the docs/SERVING.md contract that drain mode IS offline dispatch.
+  const FuzzCase& c = ctx.c;
+  const std::size_t n = c.instance.num_tasks();
+  Xoshiro256 rng(c.seed ^ 0x57AE57AE57AE57AEULL);
+  std::vector<Time> busy_until(c.instance.num_machines());
+  for (Time& t : busy_until) t = sample_uniform(rng, 0.0, 2.0 * mean_service(c));
+
+  const char* regimes[] = {"drain", "poisson", "burst", "ties", "unsorted"};
+  for (const char* regime : regimes) {
+    const std::string name = regime;
+    const std::vector<Time> arrivals =
+        name == "drain" ? std::vector<Time>(n, Time{0}) : fuzz_arrivals(name, c, rng);
+    for (int variant = 0; variant < 4; ++variant) {
+      const std::vector<double> speeds =
+          (variant & 1) != 0 ? c.speeds : std::vector<double>{};
+      const std::vector<Time> ready =
+          (variant & 2) != 0 ? busy_until : std::vector<Time>{};
+      const std::string where = name + " arrivals" +
+                                (speeds.empty() ? "" : ", speeds") +
+                                (ready.empty() ? "" : ", initial_ready") + ": ";
+      const StreamingDispatchResult got = serve_stream(
+          c.instance, c.placement, c.actual, c.priority, arrivals, ready, speeds);
+      const StreamingDispatchResult want = reference_serve_stream(
+          c.instance, c.placement, c.actual, c.priority, arrivals, ready, speeds);
+      std::string diff = diff_schedules(got.schedule, want.schedule);
+      if (diff.empty()) diff = diff_traces(got.trace, want.trace);
+      if (diff.empty() && got.peak_backlog != want.peak_backlog) {
+        diff = "peak backlog " + std::to_string(got.peak_backlog) + " vs " +
+               std::to_string(want.peak_backlog);
+      }
+      if (diff.empty() && name == "drain") {
+        const DispatchResult offline = reference_dispatch_online(
+            c.instance, c.placement, c.actual, c.priority, ready, speeds);
+        diff = diff_schedules(got.schedule, offline.schedule);
+        if (diff.empty()) diff = diff_traces(got.trace, offline.trace);
+        if (diff.empty() && got.peak_backlog != n) {
+          diff = "drain-mode peak backlog " + std::to_string(got.peak_backlog) +
+                 " != n";
+        }
+        if (!diff.empty()) diff = "vs offline reference: " + diff;
+      }
+      if (!diff.empty()) {
+        ctx.fail("serve-stream-differential", where + diff);
+        return;
+      }
+      InvariantOptions options;
+      options.speeds = speeds;
+      options.arrivals = arrivals;
+      std::vector<Violation> violations = check_invariants(
+          c.instance, c.placement, c.actual, got.schedule, options);
+      const auto priority_violations = check_priority_compliance(
+          c.instance, c.placement, got.schedule, c.priority, arrivals);
+      violations.insert(violations.end(), priority_violations.begin(),
+                        priority_violations.end());
+      if (!violations.empty()) {
+        ctx.fail("serve-stream-differential",
+                 where + to_string(violations.front()));
+        return;
+      }
+    }
   }
 }
 
@@ -818,27 +889,10 @@ void check_slo_differential(const CheckContext& ctx) {
   const FuzzCase& c = ctx.c;
   const std::size_t n = c.instance.num_tasks();
   Xoshiro256 rng(c.seed ^ 0x5105105105105105ULL);
-  double work = 0.0;
-  for (const Time p : c.actual.actual) work += p;
-  const double mean_service = work / static_cast<double>(n);
   const char* regimes[] = {"poisson", "burst", "ties", "unsorted"};
   for (const char* regime : regimes) {
     const std::string name = regime;
-    ArrivalParams params;
-    params.model = name == "burst" ? ArrivalModel::kBurst : ArrivalModel::kPoisson;
-    // Offered load from light to saturated.
-    params.rate = sample_uniform(rng, 0.3, 2.0) *
-                  static_cast<double>(c.instance.num_machines()) / mean_service;
-    params.burst_on = 5.0 / params.rate;
-    params.burst_off = 20.0 / params.rate;
-    params.seed = rng.next();
-    std::vector<Time> arrivals = generate_arrivals(params, n);
-    if (name == "ties") {
-      const double grain = 2.0 * mean_service;
-      for (Time& t : arrivals) t = std::floor(t / grain) * grain;
-    } else if (name == "unsorted") {
-      shuffle(rng, arrivals);
-    }
+    const std::vector<Time> arrivals = fuzz_arrivals(name, c, rng);
     const Schedule schedule =
         serve_stream(c.instance, c.placement, c.actual, c.priority, arrivals)
             .schedule;
@@ -917,7 +971,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_speculative_disabled(ctx);
   check_speculative_enabled(ctx);
   check_certify_ptas_lb(ctx);
-  check_serve_drain_parity(ctx, online);
+  check_serve_stream_differential(ctx);
   check_adaptive_bound(ctx);
   check_slo_differential(ctx);
   return failures;

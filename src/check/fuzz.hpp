@@ -21,7 +21,11 @@
 //   * dispatch_speculative with speculation disabled must be
 //     bit-identical to dispatch_online on the same speed profile, and
 //     with speculation enabled must never exceed the non-speculative
-//     makespan on the same realization.
+//     makespan on the same realization;
+//   * serve_stream must be bit-identical (schedule, trace, peak backlog)
+//     to a naive event-by-event oracle on staggered, bursty, tied and
+//     unsorted arrivals and in drain mode, where it must also match the
+//     pre-rewrite offline dispatcher.
 //
 // Failing seeds are minimized by binary-search shrinking over the task
 // count (a failing case is re-expanded from its seed, truncated to a task

@@ -91,6 +91,10 @@ std::vector<Violation> check_invariants(const Instance& instance,
     add(out, "shape", "speeds size mismatch");
     return out;
   }
+  if (!options.arrivals.empty() && options.arrivals.size() != n) {
+    add(out, "shape", "arrivals size mismatch");
+    return out;
+  }
 
   // -- Per-task checks: assignment, finiteness, duration --------------
   for (TaskId j = 0; j < n; ++j) {
@@ -115,6 +119,14 @@ std::vector<Violation> check_invariants(const Instance& instance,
     }
     if (s < -tol) {
       add(out, "start-time", task_str(j) + " starts before time 0");
+    }
+    if (!options.arrivals.empty()) {
+      const Time a = options.arrivals[j];
+      if (s < a - tol * std::max({std::abs(a), std::abs(s), Time{1}})) {
+        std::ostringstream os;
+        os << task_str(j) << " starts at " << s << " before its arrival at " << a;
+        add(out, "start-before-arrival", os.str());
+      }
     }
     Time work = actual[j];
     if (!options.extra_duration.empty()) work += options.extra_duration[j];
@@ -179,13 +191,15 @@ std::vector<Violation> check_priority_compliance(const Instance& instance,
                                                  const Placement& placement,
                                                  const Schedule& schedule,
                                                  const std::vector<TaskId>& priority,
+                                                 std::span<const Time> arrivals,
                                                  double tolerance) {
   std::vector<Violation> out;
   const std::size_t n = instance.num_tasks();
   std::vector<std::uint32_t> rank;
   if (!build_ranks(n, priority, rank, out)) return out;
-  if (schedule.num_tasks() != n) {
-    add(out, "shape", "schedule does not match the instance size");
+  if (schedule.num_tasks() != n ||
+      (!arrivals.empty() && arrivals.size() != n)) {
+    add(out, "shape", "schedule or arrivals do not match the instance size");
     return out;
   }
   for (TaskId j = 0; j < n; ++j) {
@@ -195,6 +209,7 @@ std::vector<Violation> check_priority_compliance(const Instance& instance,
     for (TaskId k = 0; k < n; ++k) {
       if (k == j || rank[k] >= rank[j]) continue;
       if (!placement.allows(k, i)) continue;
+      if (!arrivals.empty() && arrivals[k] > s) continue;  // not yet arrived
       const Time scale = std::max({std::abs(schedule.start[k]), std::abs(s), Time{1}});
       if (schedule.start[k] > s + tolerance * scale) {
         std::ostringstream os;

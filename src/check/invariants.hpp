@@ -12,8 +12,10 @@
 //     declared per-task extra such as a refetch/fetch penalty, divided by
 //     the machine's speed);
 //   * work is conserved: every task runs exactly once, to completion;
-//   * priority compliance: no eligible higher-priority task is still
-//     waiting when a lower-priority one starts on an idle machine;
+//   * no task starts before its release time (streaming dispatch);
+//   * priority compliance: no eligible higher-priority task that has
+//     already arrived is still waiting when a lower-priority one starts
+//     on an idle machine;
 //   * the makespan is at least the certified lower bound on OPT from
 //     exact/lower_bounds.hpp (sound for every dispatcher here, since
 //     each task's final run takes at least its actual time).
@@ -22,6 +24,7 @@
 // fuzzer can report every broken invariant of a bad schedule at once.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,9 @@ struct InvariantOptions {
   std::vector<bool> off_placement_ok;
   /// Per-machine speed factors (duration = work / speed). Empty = unit.
   std::vector<double> speeds;
+  /// Per-task release times (streaming dispatch): task j may not start
+  /// before arrivals[j]. Empty means every task is released at 0.
+  std::vector<Time> arrivals;
   /// Check makespan >= makespan_lower_bound(actual, m). Only sound when
   /// speeds are unit (set false for heterogeneous runs).
   bool check_lower_bound = true;
@@ -66,7 +72,7 @@ struct InvariantOptions {
 
 /// Runs the structural invariants (shape, placement-respecting
 /// assignment, overlap-freedom, duration consistency, work conservation,
-/// lower-bound dominance). Returns every violation found; empty == valid.
+/// release times, lower-bound dominance). Returns every violation found; empty == valid.
 [[nodiscard]] std::vector<Violation> check_invariants(
     const Instance& instance, const Placement& placement,
     const Realization& actual, const Schedule& schedule,
@@ -74,14 +80,16 @@ struct InvariantOptions {
 
 /// Priority compliance for the plain semi-clairvoyant dispatcher: when
 /// task j starts on machine i at time s, no strictly-higher-priority task
-/// that machine i could run (replica present) may still be waiting
-/// (i.e. start strictly after s). Sound for dispatch_online and for
+/// that machine i could run (replica present) and that had arrived by s
+/// (arrivals[k] <= s; arrivals at s are admitted before s's dispatches)
+/// may still be waiting (i.e. start strictly after s). Empty `arrivals`
+/// releases every task at 0. Sound for dispatch_online, serve_stream and
 /// failure-free failure-dispatch runs; not applicable once restarts can
 /// put tasks back in the queue.
 [[nodiscard]] std::vector<Violation> check_priority_compliance(
     const Instance& instance, const Placement& placement,
     const Schedule& schedule, const std::vector<TaskId>& priority,
-    double tolerance = 1e-9);
+    std::span<const Time> arrivals = {}, double tolerance = 1e-9);
 
 /// Priority compliance for the locality-preferring transfer dispatcher:
 /// a local start must beat every waiting local task on rank; a remote

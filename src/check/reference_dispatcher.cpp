@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -188,6 +190,97 @@ DispatchResult reference_dispatch_online(const Instance& instance,
     result.schedule.start[j] = start;
     result.schedule.finish[j] = finish;
     result.trace.events.push_back(DispatchEvent{start, j, i, duration});
+    --remaining;
+  }
+  return result;
+}
+
+StreamingDispatchResult reference_serve_stream(const Instance& instance,
+                                               const Placement& placement,
+                                               const Realization& actual,
+                                               const std::vector<TaskId>& priority,
+                                               std::span<const Time> arrivals,
+                                               std::vector<Time> initial_ready,
+                                               std::vector<double> speeds) {
+  const std::size_t n = instance.num_tasks();
+  const MachineId m = instance.num_machines();
+  if (placement.num_tasks() != n || placement.num_machines() != m ||
+      actual.size() != n || priority.size() != n || arrivals.size() != n ||
+      (!initial_ready.empty() && initial_ready.size() != m) ||
+      (!speeds.empty() && speeds.size() != m)) {
+    throw std::invalid_argument("reference_serve_stream: size mismatch");
+  }
+
+  // Admission order: (arrival time, task id).
+  std::vector<TaskId> order(n);
+  std::iota(order.begin(), order.end(), TaskId{0});
+  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return arrivals[a] < arrivals[b];
+  });
+
+  std::vector<Time> ready =
+      initial_ready.empty() ? std::vector<Time>(m, 0) : std::move(initial_ready);
+  // A machine is idle (out of the running) once it found nothing to do;
+  // the next admission of a task it holds a replica of brings it back,
+  // ready at that arrival.
+  std::vector<bool> idle(m, false);
+  std::vector<bool> admitted(n, false);
+  std::vector<bool> dispatched(n, false);
+
+  StreamingDispatchResult result;
+  result.schedule.assignment = Assignment(n);
+  result.schedule.start.assign(n, 0);
+  result.schedule.finish.assign(n, 0);
+  result.trace.events.reserve(n);
+
+  std::size_t next_arrival = 0;
+  std::size_t backlog = 0;
+  std::size_t remaining = n;
+  while (remaining > 0) {
+    MachineId i = kNoMachine;
+    for (MachineId k = 0; k < m; ++k) {
+      if (!idle[k] && (i == kNoMachine || ready[k] < ready[i])) i = k;
+    }
+    const Time free_at =
+        i == kNoMachine ? std::numeric_limits<Time>::infinity() : ready[i];
+
+    if (next_arrival < n && arrivals[order[next_arrival]] <= free_at) {
+      const TaskId j = order[next_arrival++];
+      admitted[j] = true;
+      result.peak_backlog = std::max(result.peak_backlog, ++backlog);
+      for (MachineId k : placement.machines_for(j)) {
+        if (idle[k]) {
+          idle[k] = false;
+          ready[k] = arrivals[j];
+        }
+      }
+      continue;
+    }
+    if (i == kNoMachine) {
+      throw std::logic_error("reference_serve_stream: deadlock");
+    }
+
+    TaskId j = kNoTask;
+    for (TaskId candidate : priority) {
+      if (admitted[candidate] && !dispatched[candidate] &&
+          placement.allows(candidate, i)) {
+        j = candidate;
+        break;
+      }
+    }
+    if (j == kNoTask) {
+      idle[i] = true;
+      continue;
+    }
+    const Time duration = speeds.empty() ? actual[j] : actual[j] / speeds[i];
+    const Time start = ready[i];
+    ready[i] = start + duration;
+    dispatched[j] = true;
+    result.schedule.assignment.machine_of[j] = i;
+    result.schedule.start[j] = start;
+    result.schedule.finish[j] = ready[i];
+    result.trace.events.push_back(DispatchEvent{start, j, i, duration});
+    --backlog;
     --remaining;
   }
   return result;

@@ -13,10 +13,12 @@
 
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "core/placement.hpp"
 #include "core/types.hpp"
+#include "serve/streaming_dispatcher.hpp"
 #include "sim/online_dispatcher.hpp"
 
 namespace rdp {
@@ -34,6 +36,21 @@ namespace rdp::check {
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, std::vector<Time> initial_ready = {},
     std::vector<double> speeds = {});
+
+/// Naive streaming dispatch: serve_stream's semantics written as the
+/// plainest event-by-event loop -- no bitmaps, no parking list, no tail
+/// compaction, no equal-time cohort path. Each step is one event: either
+/// the next arrival in (time, id) order is admitted (arrivals win ties
+/// against machine frees) and wakes every idle machine holding a replica
+/// of it, or the idle machine with the smallest (ready, id) scans the
+/// priority order for its first admitted, waiting, eligible task, going
+/// idle when there is none. O(n + m) work per event, O(n (n + m)) per
+/// run. The streaming kernel must reproduce its schedule, trace and peak
+/// backlog bit for bit.
+[[nodiscard]] StreamingDispatchResult reference_serve_stream(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, std::span<const Time> arrivals,
+    std::vector<Time> initial_ready = {}, std::vector<double> speeds = {});
 
 /// Pre-rewrite EventQueue: std::priority_queue with a (time, seq) wrapper
 /// and a *copy-out* pop -- the shape the production queue had before the

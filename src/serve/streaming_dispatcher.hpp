@@ -8,25 +8,21 @@
 // still never look at actual durations -- arrivals only add a second
 // source of "now" alongside machine frees.
 //
-// The implementation keeps dispatch_online's layout and adds the minimum
-// on top: replica-set queues stay priority-sorted CSR slices, admission
-// flips a bit in a hierarchical bitmap over each queue's rank slots
-// (find-first-set replaces the offline head pointer), arrivals come from
-// a sorted cursor rather than the event queue, and a small (ready, id)
-// binary heap holds busy machines. Once the stream is exhausted the
-// surviving bits are compacted into dense per-queue lists and the drain
-// tail runs on plain head pointers at dispatch_online speed; a cohort
-// arriving in one instant skips the bitmaps entirely. All per-run state comes from the
-// SimWorkspace arena -- a serve loop that reuses one workspace performs
-// zero steady-state allocation. Equal-time ordering matches the offline
-// loop: every arrival at time t is admitted before any machine freed at
-// t dispatches, and machines freed at the same instant grab work in
-// machine-id order.
+// serve_stream and dispatch_online are two entry points of one loop, the
+// phase-2 dispatch kernel (sim/dispatch_kernel.hpp): admission bitmaps
+// over priority-sorted replica-set queues, parked-machine wake-up,
+// frozen-tail compaction and an equal-time cohort path. All per-run
+// state comes from the SimWorkspace arena -- a serve loop that reuses
+// one workspace performs zero steady-state allocation. Every arrival at
+// time t is admitted before any machine freed at t dispatches, and
+// machines freed at the same instant grab work in machine-id order.
 //
-// Equivalence contract (fuzz-checked, see check/fuzz.cpp and
-// docs/SERVING.md): with every arrival at t = 0 ("drain mode") the
-// schedule and trace are bit-identical to dispatch_online -- same
-// floating-point arithmetic, same tie-breaks, same trace order.
+// Correctness contract (fuzz-checked, see check/fuzz.cpp and
+// docs/SERVING.md): schedule, trace and peak backlog are bit-identical
+// to a naive event-by-event oracle (check::reference_serve_stream) on
+// staggered arrivals, and with every arrival at t = 0 ("drain mode") to
+// the pre-rewrite offline dispatcher -- same floating-point arithmetic,
+// same tie-breaks, same trace order.
 #pragma once
 
 #include <cstddef>

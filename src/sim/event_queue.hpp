@@ -1,7 +1,7 @@
 // Minimal discrete-event-simulation core: a time-ordered event queue with
 // FIFO tie-breaking, and a Simulator driving std::function events. The
-// online dispatcher uses the specialized MachinePool instead for speed,
-// but examples and tests exercise this general engine directly.
+// phase-2 dispatch kernel uses the specialized ReadyHeap instead for
+// speed, but examples and tests exercise this general engine directly.
 //
 // Since the hot-path rewrite the queue is a bucketed calendar queue
 // (sim/calendar_queue.hpp) instead of a binary heap, and pop() *moves*

@@ -1,17 +1,10 @@
 #include "sim/online_dispatcher.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <stdexcept>
-
 #include "core/instance.hpp"
-#include "core/realization.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
-#include "sim/ready_heap.hpp"
+#include "sim/dispatch_kernel.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -21,219 +14,21 @@ void dispatch_online(const Instance& instance, const Placement& placement,
                      std::span<const Time> initial_ready,
                      std::span<const double> speeds, SimWorkspace& ws,
                      DispatchResult& out) {
-  const std::size_t n = instance.num_tasks();
-  const MachineId m = instance.num_machines();
-  if (placement.num_tasks() != n) {
-    throw std::invalid_argument("dispatch_online: placement size mismatch");
-  }
-  if (placement.num_machines() != m) {
-    throw std::invalid_argument(
-        "dispatch_online: placement built for a different machine count");
-  }
-  if (actual.size() != n) {
-    throw std::invalid_argument("dispatch_online: realization size mismatch");
-  }
-  if (priority.size() != n) {
-    throw std::invalid_argument("dispatch_online: priority must cover every task");
-  }
-  if (!initial_ready.empty()) {
-    if (initial_ready.size() != m) {
-      throw std::invalid_argument("dispatch_online: initial_ready size mismatch");
-    }
-    for (Time t : initial_ready) {
-      if (!(t >= 0.0) || !std::isfinite(t)) {
-        throw std::invalid_argument(
-            "dispatch_online: initial_ready times must be finite and non-negative");
-      }
-    }
-  }
-  if (!speeds.empty()) {
-    if (speeds.size() != m) {
-      throw std::invalid_argument("dispatch_online: speeds size mismatch");
-    }
-    for (double s : speeds) {
-      if (!(s > 0.0)) {
-        throw std::invalid_argument("dispatch_online: speeds must be positive");
-      }
-    }
-  }
-
-  ws.begin_run(n, m);
-  MonotonicArena& arena = ws.arena;
-
-  // One dispatch queue per distinct replica set. The bucketing itself was
-  // interned by Placement at construction (a placement is dispatched
-  // against many realizations in a sweep), so here a queue id is a plain
-  // array read instead of a per-task hash + probe.
-  const std::uint32_t num_queues = placement.num_distinct_sets();
-
-  // CSR layout of the queues (sizes precomputed by the interning).
-  // Filling in priority order makes each queue's slice already
-  // rank-sorted -- no comparison sort needed.
-  const std::span<std::uint32_t> queue_begin =
-      arena.allocate_span<std::uint32_t>(num_queues + 1);
-  queue_begin[0] = 0;
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    queue_begin[q + 1] = queue_begin[q] + placement.set_population(q);
-  }
-  const std::span<std::uint32_t> queue_head =
-      arena.allocate_span<std::uint32_t>(num_queues);
-  const std::span<std::uint32_t> queue_end =
-      arena.allocate_span<std::uint32_t>(num_queues);
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    queue_head[q] = queue_begin[q];
-    queue_end[q] = queue_begin[q];  // fill cursor, becomes queue_begin[q+1]
-  }
-
-  // CSR of which queues each machine serves.
-  const std::span<std::uint32_t> machine_degree =
-      arena.make_span<std::uint32_t>(m, 0);
-  std::uint32_t max_degree = 0;
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    for (MachineId i : placement.distinct_set(q)) {
-      max_degree = std::max(max_degree, ++machine_degree[i]);
-    }
-  }
-  const std::span<std::uint32_t> machine_begin =
-      arena.allocate_span<std::uint32_t>(m + 1);
-  machine_begin[0] = 0;
-  for (MachineId i = 0; i < m; ++i) {
-    machine_begin[i + 1] = machine_begin[i] + machine_degree[i];
-  }
-  const std::span<std::uint32_t> machine_fill =
-      arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) machine_fill[i] = machine_begin[i];
-  const std::span<std::uint32_t> machine_queues =
-      arena.allocate_span<std::uint32_t>(machine_begin[m]);
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    for (MachineId i : placement.distinct_set(q)) {
-      machine_queues[machine_fill[i]++] = q;
-    }
-  }
-  // With every machine serving at most one queue (disjoint replica sets
-  // -- the group-replication regime), rank comparisons are unnecessary:
-  // a machine's next task is always its queue's front (read through a
-  // direct machine -> queue map). queue_ranks is only materialized for
-  // the overlapping-queues general path.
-  const bool single_queue_machines = max_degree <= 1;
-  const std::span<std::uint32_t> machine_queue_of =
-      arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) {
-    machine_queue_of[i] = machine_begin[i] < machine_begin[i + 1]
-                              ? machine_queues[machine_begin[i]]
-                              : UINT32_MAX;
-  }
-
-  // Single pass over the priority order: permutation validation (a seen-
-  // bitset -- n bits, not an n-word rank array) fused with the queue
-  // fill. queue_ranks / queue_durations are position-indexed companions
-  // to queue_tasks: the dispatch loop reads the front task's rank and
-  // duration at `queue_head[q]`, a streaming access per queue. Looking up
-  // rank[...] / actual[...] inside the loop instead would be a serialized
-  // random cache miss per event; here the misses overlap across
-  // independent iterations.
-  const std::size_t bit_words = (n + 63) / 64;
-  const std::span<std::uint64_t> seen = arena.make_span<std::uint64_t>(bit_words, 0);
-  const std::span<TaskId> queue_tasks = arena.allocate_span<TaskId>(n);
-  const std::span<std::uint32_t> queue_ranks =
-      single_queue_machines ? std::span<std::uint32_t>{}
-                            : arena.allocate_span<std::uint32_t>(n);
-  const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    const TaskId j = priority[r];
-    if (j >= n || ((seen[j / 64] >> (j % 64)) & 1u) != 0) {
-      throw std::invalid_argument("dispatch_online: priority is not a permutation");
-    }
-    seen[j / 64] |= std::uint64_t{1} << (j % 64);
-    const std::uint32_t pos = queue_end[placement.set_id(j)]++;
-    queue_tasks[pos] = j;
-    if (!single_queue_machines) queue_ranks[pos] = r;
-    queue_durations[pos] = actual[j];
-  }
-
   // Observability: null sinks reduce every hook below to a dead branch on
   // a cached pointer; nothing here influences dispatch decisions.
-  obs::MetricsRegistry* const mx = obs::metrics();
-  obs::Tracer* const tr = obs::tracer();
-  obs::ScopedSpan span(tr, "dispatch_online", "sim");
+  obs::ScopedSpan span(obs::tracer(), "dispatch_online", "sim");
+  (void)run_dispatch_kernel("dispatch_online", instance, placement, actual,
+                            priority, {}, initial_ready, speeds, ws,
+                            out.schedule, out.trace);
 
-  out.schedule.assignment.machine_of.resize(n);
-  out.schedule.start.resize(n);
-  out.schedule.finish.resize(n);
-  // The chronological trace is written with raw indexed stores into a
-  // pre-sized vector (exactly n events are produced -- every task is
-  // dispatched once), skipping push_back's per-event capacity check.
-  out.trace.events.resize(n);
-  DispatchEvent* const trace_out = out.trace.events.data();
-  std::size_t emitted = 0;
-
-  ReadyHeap pool;
-  pool.init(arena, m, initial_ready);
-  std::size_t remaining = n;
-  while (remaining > 0) {
-    if (pool.empty()) {
-      // Unreachable for a valid placement: every remaining task has a
-      // non-retired machine serving its queue.
-      throw std::logic_error("dispatch_online: deadlock (all machines retired)");
-    }
-    const MachineId i = pool.top();
-
-    // The queue whose front this machine runs next.
-    std::uint32_t best_queue = UINT32_MAX;
-    if (single_queue_machines) {
-      // Disjoint replica sets: the machine's sole queue, or none.
-      const std::uint32_t q = machine_queue_of[i];
-      if (q != UINT32_MAX && queue_head[q] < queue_begin[q + 1]) best_queue = q;
-    } else {
-      // Highest-priority front task among this machine's queues.
-      std::uint32_t best_rank = UINT32_MAX;
-      for (std::uint32_t k = machine_begin[i]; k < machine_begin[i + 1]; ++k) {
-        const std::uint32_t q = machine_queues[k];
-        if (queue_head[q] >= queue_begin[q + 1]) continue;  // exhausted
-        const std::uint32_t r = queue_ranks[queue_head[q]];
-        if (r < best_rank) {
-          best_rank = r;
-          best_queue = q;
-        }
-      }
-    }
-    if (best_queue == UINT32_MAX) {
-      pool.retire_top();  // no eligible work now or ever
-      continue;
-    }
-
-    const std::uint32_t pos = queue_head[best_queue]++;
-    const TaskId j = queue_tasks[pos];
-    const Time duration =
-        speeds.empty() ? queue_durations[pos] : queue_durations[pos] / speeds[i];
-    const auto [start, finish] = pool.occupy_top(duration);
-    (void)finish;
-    trace_out[emitted++] = DispatchEvent{start, j, i, duration};
-    --remaining;
-  }
-
-  // Scatter the chronological trace into the task-indexed schedule. Every
-  // task appears exactly once (the loop above runs to remaining == 0), so
-  // no pre-fill is needed; finish = start + duration reproduces
-  // ReadyHeap::occupy_top's arithmetic bit-for-bit. One pass per output
-  // array: each pass's random stores then span one array's pages instead
-  // of three, which measures ~20% faster than a fused scatter.
-  for (const DispatchEvent& e : out.trace.events) {
-    out.schedule.assignment.machine_of[e.task] = e.machine;
-  }
-  for (const DispatchEvent& e : out.trace.events) {
-    out.schedule.start[e.task] = e.when;
-  }
-  for (const DispatchEvent& e : out.trace.events) {
-    out.schedule.finish[e.task] = e.when + e.actual;
-  }
-
-  if (mx) {
+  if (obs::MetricsRegistry* const mx = obs::metrics()) {
+    const std::size_t n = instance.num_tasks();
+    const MachineId m = instance.num_machines();
     mx->counter("sim.dispatch.calls").add(1);
     mx->counter("sim.dispatch.tasks").add(n);
     // Per-machine busy time is recovered from the finished schedule, so
     // the dispatch loop itself carries no instrumentation.
-    const std::span<Time> busy = arena.make_span<Time>(m, 0.0);
+    const std::span<Time> busy = ws.arena.make_span<Time>(m, 0.0);
     for (TaskId j = 0; j < n; ++j) {
       busy[out.schedule.assignment.machine_of[j]] +=
           out.schedule.finish[j] - out.schedule.start[j];
@@ -242,30 +37,9 @@ void dispatch_online(const Instance& instance, const Placement& placement,
     obs::Histogram& idle_hist = mx->histogram("sim.dispatch.machine_idle_time");
     for (MachineId i = 0; i < m; ++i) idle_hist.observe(makespan - busy[i]);
   }
-
-  // Flight recorder: one bulk reserve, starts and finishes in dispatch
-  // order. One-shot dispatch has no arrival process -- every task is
-  // eligible at t = 0, so kStart/kFinish are the whole lifecycle.
-  if (obs::TimelineRecorder* const tl = obs::timeline(); tl != nullptr) {
-    const auto block = tl->reserve(2 * static_cast<std::size_t>(n));
-    std::size_t cursor = 0;
-    for (const DispatchEvent& e : out.trace.events) {
-      if (cursor >= block.count) break;
-      block.when[cursor] = e.when;
-      block.task[cursor] = e.task;
-      block.machine[cursor] = e.machine;
-      block.kind[cursor++] =
-          static_cast<std::uint8_t>(obs::TimelineEventKind::kStart);
-    }
-    for (const DispatchEvent& e : out.trace.events) {
-      if (cursor >= block.count) break;
-      block.when[cursor] = e.when + e.actual;
-      block.task[cursor] = e.task;
-      block.machine[cursor] = e.machine;
-      block.kind[cursor++] =
-          static_cast<std::uint8_t>(obs::TimelineEventKind::kFinish);
-    }
-  }
+  // One-shot dispatch has no arrival process -- every task is eligible at
+  // t = 0, so kStart/kFinish are the whole lifecycle.
+  record_dispatch_timeline(out.schedule, {});
 }
 
 DispatchResult dispatch_online(const Instance& instance, const Placement& placement,

@@ -1,6 +1,7 @@
 #include "sim/speculative.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -43,11 +44,20 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   if (placement.num_tasks() != n || actual.size() != n || priority.size() != n) {
     throw std::invalid_argument("dispatch_speculative: size mismatch");
   }
+  if (placement.num_machines() != m) {
+    throw std::invalid_argument(
+        "dispatch_speculative: placement.num_machines must equal the "
+        "instance's machine count");
+  }
   if (speeds.size() != m) {
     throw std::invalid_argument("dispatch_speculative: speed profile mismatch");
   }
   if (policy.max_copies == 0) {
     throw std::invalid_argument("dispatch_speculative: max_copies must be >= 1");
+  }
+  if (std::isnan(policy.min_estimated_remaining)) {
+    throw std::invalid_argument(
+        "dispatch_speculative: min_estimated_remaining must not be NaN");
   }
 
   SimWorkspace& ws = thread_workspace();

@@ -32,7 +32,7 @@ struct SpeculationPolicy {
   unsigned max_copies = 2;
   /// Only speculate on tasks whose estimated completion is at least this
   /// far past the current time... negative values allow eager duplication
-  /// of anything still running.
+  /// of anything still running. NaN is rejected.
   Time min_estimated_remaining = 0.0;
 };
 

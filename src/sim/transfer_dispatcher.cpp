@@ -1,6 +1,7 @@
 #include "sim/transfer_dispatcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -40,11 +41,17 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
   if (placement.num_tasks() != n || actual.size() != n || priority.size() != n) {
     throw std::invalid_argument("dispatch_with_transfers: size mismatch");
   }
+  if (placement.num_machines() != m) {
+    throw std::invalid_argument(
+        "dispatch_with_transfers: placement.num_machines must equal the "
+        "instance's machine count");
+  }
   if (!(model.bandwidth > 0.0)) {
     throw std::invalid_argument("dispatch_with_transfers: bandwidth must be > 0");
   }
-  if (model.latency < 0.0) {
-    throw std::invalid_argument("dispatch_with_transfers: negative latency");
+  if (!(model.latency >= 0.0) || !std::isfinite(model.latency)) {
+    throw std::invalid_argument(
+        "dispatch_with_transfers: latency must be finite and non-negative");
   }
 
   SimWorkspace& ws = thread_workspace();

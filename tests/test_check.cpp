@@ -138,6 +138,52 @@ TEST(Invariants, DetectsPriorityInversion) {
       check::check_priority_compliance(inst, p, s, priority), "priority"));
 }
 
+TEST(Invariants, DetectsStartBeforeArrival) {
+  // Task 1 is released at t = 3 but the forged schedule starts it at 1,
+  // right after task 0 -- otherwise a valid schedule.
+  const Instance inst = Instance::from_estimates({1.0, 1.0}, 1, 1.0);
+  const Placement p = Placement::everywhere(2, 1);
+  const Realization r = exact_realization(inst);
+  Schedule s;
+  s.assignment = Assignment(2);
+  s.assignment.machine_of = {0, 0};
+  s.start = {0.0, 1.0};
+  s.finish = {1.0, 2.0};
+  EXPECT_TRUE(check::check_invariants(inst, p, r, s).empty());
+  check::InvariantOptions released;
+  released.arrivals = {0.0, 3.0};
+  const auto violations = check::check_invariants(inst, p, r, s, released);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].invariant, "start-before-arrival");
+  // Starting exactly at the release time is legal.
+  s.start = {0.0, 3.0};
+  s.finish = {1.0, 4.0};
+  EXPECT_TRUE(check::check_invariants(inst, p, r, s, released).empty());
+  released.arrivals = {0.0};
+  EXPECT_TRUE(has_invariant(check::check_invariants(inst, p, r, s, released),
+                            "shape"));
+}
+
+TEST(Invariants, PriorityIgnoresTasksNotYetArrived) {
+  // Task 1 outranks task 0 but arrives at t = 0.5, after task 0 started:
+  // it was not waiting then, so this is no inversion. Released at 0 it is.
+  const Instance inst = Instance::from_estimates({1.0, 1.0}, 1, 1.0);
+  const Placement p = Placement::everywhere(2, 1);
+  Schedule s;
+  s.assignment = Assignment(2);
+  s.assignment.machine_of = {0, 0};
+  s.start = {0.0, 1.0};
+  s.finish = {1.0, 2.0};
+  const std::vector<TaskId> priority = {1, 0};
+  const std::vector<Time> late = {0.0, 0.5};
+  EXPECT_TRUE(check::check_priority_compliance(inst, p, s, priority, late).empty());
+  // Arriving exactly at the start instant counts as waiting: arrivals at
+  // t are admitted before dispatches at t.
+  const std::vector<Time> tied = {0.0, 0.0};
+  EXPECT_TRUE(has_invariant(
+      check::check_priority_compliance(inst, p, s, priority, tied), "priority"));
+}
+
 TEST(Invariants, DiffSchedulesIsBitExact) {
   Schedule a;
   a.assignment = Assignment(1);

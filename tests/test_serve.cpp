@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
@@ -358,29 +359,15 @@ TEST(ServeStream, OnlineInvariantsHold) {
 }
 
 TEST(ServeStream, DispatchRespectsPriorityAmongAdmitted) {
-  // Replay oracle for the admission bitmaps: at every dispatch, the
-  // chosen task must be the highest-priority (lowest-rank) task that had
-  // arrived by then (ties: arrivals at t are admitted before dispatches
-  // at t), was not yet dispatched, and whose replica set contains the
-  // machine.
+  // At every start, no higher-priority task that had arrived by then
+  // (ties: arrivals at t are admitted before dispatches at t) and whose
+  // replica set contains the machine may still be waiting.
   const ServeFixture fx = poisson_fixture(400, 6, 3, 25.0, 8);
-  const std::size_t n = fx.instance.num_tasks();
   const StreamingDispatchResult result = serve_stream(
       fx.instance, fx.placement, fx.actual, fx.priority, fx.arrivals);
-
-  std::vector<std::uint32_t> rank_of(n);
-  for (std::uint32_t r = 0; r < n; ++r) rank_of[fx.priority[r]] = r;
-  std::vector<int> done(n, 0);
-  for (const DispatchEvent& e : result.trace.events) {
-    for (TaskId j = 0; j < n; ++j) {
-      if (done[j] || j == e.task) continue;
-      if (fx.arrivals[j] > e.when) continue;
-      if (!fx.placement.allows(j, e.machine)) continue;
-      EXPECT_GT(rank_of[j], rank_of[e.task])
-          << "machine " << e.machine << " at t=" << e.when << " ran task "
-          << e.task << " past higher-priority admitted task " << j;
-    }
-    done[e.task] = 1;
+  for (const check::Violation& v : check::check_priority_compliance(
+           fx.instance, fx.placement, result.schedule, fx.priority, fx.arrivals)) {
+    ADD_FAILURE() << check::to_string(v);
   }
 }
 

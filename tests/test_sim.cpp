@@ -1,5 +1,5 @@
-// Tests for the DES core (EventQueue/Simulator), MachinePool, and the
-// online semi-clairvoyant dispatcher.
+// Tests for the DES core (EventQueue/Simulator), the ReadyHeap machine
+// heap, and the online semi-clairvoyant dispatcher.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -14,8 +14,8 @@
 #include "core/realization.hpp"
 #include "core/validate.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/machine_pool.hpp"
 #include "sim/online_dispatcher.hpp"
+#include "sim/ready_heap.hpp"
 #include "sim/trace.hpp"
 
 namespace rdp {
@@ -58,79 +58,84 @@ TEST(Simulator, RejectsSchedulingInThePast) {
   sim.run();
 }
 
-TEST(MachinePool, NextIdlePrefersEarliestThenLowestId) {
-  MachinePool pool(std::vector<Time>{3.0, 1.0, 1.0});
-  EXPECT_EQ(pool.next_idle(), MachineId{1});
-  pool.occupy(1, 5.0);  // busy until 6
-  EXPECT_EQ(pool.next_idle(), MachineId{2});
+TEST(ReadyHeap, NextIdlePrefersEarliestThenLowestId) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  const std::vector<Time> initial = {3.0, 1.0, 1.0};
+  heap.init(arena, 3, initial);
+  EXPECT_EQ(heap.top(), MachineId{1});
+  EXPECT_DOUBLE_EQ(heap.top_ready(), 1.0);
+  heap.occupy_top(5.0);  // machine 1 busy until 6
+  EXPECT_EQ(heap.top(), MachineId{2});
+  heap.occupy_top(1.0);  // machine 2 busy until 2
+  EXPECT_EQ(heap.top(), MachineId{2});
+  heap.occupy_top(1.0);  // machine 2 busy until 3: ties machine 0, lower id wins
+  EXPECT_EQ(heap.top(), MachineId{0});
 }
 
-TEST(MachinePool, OccupyReturnsInterval) {
-  MachinePool pool(2);
-  const auto [s, f] = pool.occupy(0, 2.5);
+TEST(ReadyHeap, OccupyReturnsInterval) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  heap.init(arena, 2, {});
+  ASSERT_EQ(heap.top(), MachineId{0});
+  const auto [s, f] = heap.occupy_top(2.5);
   EXPECT_DOUBLE_EQ(s, 0.0);
   EXPECT_DOUBLE_EQ(f, 2.5);
-  const auto [s2, f2] = pool.occupy(0, 1.0);
+  ASSERT_EQ(heap.top(), MachineId{1});
+  const auto [s1, f1] = heap.occupy_top(4.0);
+  EXPECT_DOUBLE_EQ(s1, 0.0);
+  EXPECT_DOUBLE_EQ(f1, 4.0);
+  ASSERT_EQ(heap.top(), MachineId{0});
+  const auto [s2, f2] = heap.occupy_top(1.0);
   EXPECT_DOUBLE_EQ(s2, 2.5);
   EXPECT_DOUBLE_EQ(f2, 3.5);
 }
 
-TEST(MachinePool, RetiredMachinesAreSkipped) {
-  MachinePool pool(2);
-  pool.retire(0);
-  EXPECT_EQ(pool.next_idle(), MachineId{1});
-  pool.retire(1);
-  EXPECT_FALSE(pool.next_idle().has_value());
-  EXPECT_THROW(pool.occupy(0, 1.0), std::invalid_argument);
+TEST(ReadyHeap, RetiredMachinesAreSkipped) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  heap.init(arena, 2, {});
+  heap.retire_top();  // machine 0
+  ASSERT_FALSE(heap.empty());
+  EXPECT_EQ(heap.top(), MachineId{1});
+  heap.retire_top();
+  EXPECT_TRUE(heap.empty());
+  // A retired machine comes back only through push (a parked machine
+  // woken by an arrival).
+  heap.push(7.0, 0);
+  ASSERT_FALSE(heap.empty());
+  EXPECT_EQ(heap.top(), MachineId{0});
+  EXPECT_DOUBLE_EQ(heap.top_ready(), 7.0);
 }
 
-// Satellite regression: the lazy heap used to push one entry per occupy()
-// and never evict stale ones, so a long streaming run grew the heap
-// without bound. Compaction now rebuilds once stale entries outnumber
-// live ones, pinning the heap to O(active machines).
-TEST(MachinePool, LazyHeapStaysBoundedUnderChurn) {
-  constexpr MachineId kMachines = 8;
-  MachinePool pool(kMachines);
-  for (int step = 0; step < 10000; ++step) {
-    const auto i = pool.next_idle();
-    ASSERT_TRUE(i.has_value());
-    pool.occupy(*i, 1.0 + static_cast<double>(step % 3));
-    // Live entries <= m, and compaction triggers before stale entries
-    // outnumber live ones, so the heap can never exceed 2m + 1.
-    EXPECT_LE(pool.heap_size(), 2u * kMachines + 1) << "at step " << step;
-  }
-  // Retirement churn must respect the same bound.
-  for (MachineId i = 0; i < kMachines; ++i) {
-    pool.retire(i);
-    EXPECT_LE(pool.heap_size(), 2u * kMachines + 1);
-    EXPECT_EQ(pool.next_idle().has_value(), i + 1 < kMachines);
-  }
-}
-
-TEST(MachinePool, SelectionOrderMatchesLinearScanOracle) {
-  // Enough churn to cross many compactions; every pick is checked against
-  // a naive min-(ready, id) scan over the same state.
-  MachinePool pool(4);
-  std::vector<Time> ready(4, 0.0);
+TEST(ReadyHeap, SelectionOrderMatchesLinearScanOracle) {
+  // Long churn with occasional retire + re-push (the streaming park/wake
+  // cycle); every pick is checked against a naive min-(ready, id) scan
+  // over the same state.
+  constexpr MachineId kMachines = 5;
+  MonotonicArena arena;
+  ReadyHeap heap;
+  const std::vector<Time> initial = {2.0, 0.0, 2.0, 1.0, 0.0};
+  heap.init(arena, kMachines, initial);
+  std::vector<Time> ready = initial;
   for (int step = 0; step < 2000; ++step) {
     MachineId expected = 0;
-    for (MachineId i = 1; i < 4; ++i) {
+    for (MachineId i = 1; i < kMachines; ++i) {
       if (ready[i] < ready[expected]) expected = i;
     }
-    const auto got = pool.next_idle();
-    ASSERT_TRUE(got.has_value());
-    ASSERT_EQ(*got, expected) << "divergence at step " << step;
+    ASSERT_FALSE(heap.empty());
+    ASSERT_EQ(heap.top(), expected) << "divergence at step " << step;
+    ASSERT_EQ(heap.top_ready(), ready[expected]) << "at step " << step;
+    if (step % 7 == 3) {
+      heap.retire_top();
+      ready[expected] += 1.0;
+      heap.push(ready[expected], expected);
+      continue;
+    }
     const Time d = static_cast<double>(1 + (step * 7) % 5);
-    pool.occupy(expected, d);
+    heap.occupy_top(d);
     ready[expected] += d;
   }
-}
-
-TEST(MachinePool, NegativeInputsRejected) {
-  EXPECT_THROW(MachinePool(std::vector<Time>{-1.0}), std::invalid_argument);
-  MachinePool pool(1);
-  EXPECT_THROW(pool.occupy(0, -1.0), std::invalid_argument);
-  EXPECT_THROW(pool.occupy(9, 1.0), std::out_of_range);
 }
 
 Instance five_tasks(MachineId m, double alpha = 1.5) {

@@ -1,6 +1,7 @@
 // Tests for speculative execution (backup copies on uniform machines).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
@@ -189,6 +190,18 @@ TEST(Speculative, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW((void)dispatch_speculative(inst, p, r, identity(1),
                                           SpeedProfile::identical(2),
+                                          SpeculationPolicy{}),
+               std::invalid_argument);
+  SpeculationPolicy nan_threshold;
+  nan_threshold.min_estimated_remaining = std::numeric_limits<Time>::quiet_NaN();
+  EXPECT_THROW((void)dispatch_speculative(inst, p, r, identity(1),
+                                          SpeedProfile::identical(1), nan_threshold),
+               std::invalid_argument);
+  // A placement built for more machines than the instance has would index
+  // per-machine state past its end.
+  const Placement wide = Placement::singleton({999}, 1000);
+  EXPECT_THROW((void)dispatch_speculative(inst, wide, r, identity(1),
+                                          SpeedProfile::identical(1),
                                           SpeculationPolicy{}),
                std::invalid_argument);
 }

@@ -1,6 +1,7 @@
 // Tests for the locality-aware transfer-cost dispatcher.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
@@ -116,6 +117,18 @@ TEST(TransferDispatch, ValidatesInputs) {
                std::invalid_argument);
   TransferModel ok;
   EXPECT_THROW((void)dispatch_with_transfers(inst, p, r, {0, 0}, ok),
+               std::invalid_argument);
+  for (const Time latency : {std::numeric_limits<Time>::quiet_NaN(),
+                             std::numeric_limits<Time>::infinity()}) {
+    TransferModel non_finite;
+    non_finite.latency = latency;
+    EXPECT_THROW((void)dispatch_with_transfers(inst, p, r, identity(1), non_finite),
+                 std::invalid_argument);
+  }
+  // A placement built for more machines than the instance has would index
+  // per-machine state past its end.
+  const Placement wide = Placement::singleton({999}, 1000);
+  EXPECT_THROW((void)dispatch_with_transfers(inst, wide, r, identity(1), ok),
                std::invalid_argument);
 }
 
