@@ -21,10 +21,11 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{12}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{60}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{8}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 12, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 60, 1, "tasks");
+  const auto trials = args.integer<std::size_t>("trials", 8, 1, "trials per point");
+  args.finish_or_exit();
 
   RatioExperimentConfig config;
   config.exact_node_budget = 0;  // analytic LB denominators (n is larger here)

@@ -62,26 +62,24 @@ double seconds_since(Clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{60}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{60}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const double alpha_from = args.get("alpha-from", 1.1);
-  const double alpha_to = args.get("alpha-to", 3.0);
-  const auto fuzz_seeds =
-      static_cast<std::size_t>(args.get("fuzz-seeds", std::int64_t{300}));
-  const auto budget =
-      static_cast<std::uint64_t>(args.get("budget", std::int64_t{300'000}));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
+  Args args(argc, argv);
+  const auto trials = args.integer<std::size_t>("trials", 60, 1, "drift trials");
+  const auto n = args.integer<std::size_t>("n", 60, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const double alpha_from = args.real("alpha-from", 1.1, "initial alpha");
+  const double alpha_to = args.real("alpha-to", 3.0, "final alpha");
+  const auto fuzz_seeds = args.integer<std::size_t>("fuzz-seeds", 300, 0, "fuzz seeds");
+  const auto budget = args.integer<std::uint64_t>("budget", 300'000, 0, "node budget");
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "random seed");
   // Slack of the degree-selection band (see adapt/adaptive_strategy.hpp):
   // smaller = escalate replication sooner once alpha_hat drifts, at the
   // price of more replicas. Defaults to the library default.
-  const double bound_slack = args.get("slack", AdaptiveGroupOptions{}.bound_slack);
-  const std::string out_path = args.get("out", std::string{});
-  if (trials == 0 || n == 0 || m == 0 || !(alpha_from >= 1.0) ||
-      !(alpha_to >= alpha_from)) {
-    std::cerr << "ext_adapt: need trials/n/m >= 1 and 1 <= alpha-from <= "
-                 "alpha-to\n";
+  const double bound_slack =
+      args.real("slack", AdaptiveGroupOptions{}.bound_slack, "degree band slack");
+  const std::string out_path = args.text("out", "", "write the JSON record here");
+  args.finish_or_exit();
+  if (!(alpha_from >= 1.0) || !(alpha_to >= alpha_from)) {
+    std::cerr << "ext_adapt: need 1 <= alpha-from <= alpha-to\n";
     return EXIT_FAILURE;
   }
 

@@ -18,10 +18,11 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{32}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{5}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 32, 1, "tasks");
+  const auto trials = args.integer<std::size_t>("trials", 5, 1, "trials per alpha");
+  args.finish_or_exit();
 
   RatioExperimentConfig config;
   config.exact_node_budget = 200'000;

@@ -22,14 +22,15 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
+  Args args(argc, argv);
   MatrixBlockParams mp;
-  mp.num_blocks = static_cast<std::size_t>(args.get("blocks", std::int64_t{64}));
-  mp.num_machines = static_cast<MachineId>(args.get("m", std::int64_t{8}));
+  mp.num_blocks = args.integer<std::size_t>("blocks", 64, 1, "matrix blocks");
+  mp.num_machines = args.integer<MachineId>("m", 8, 1, "machines");
   mp.alpha = 1.6;
   mp.seed = 73;
-  const auto sweeps = static_cast<std::size_t>(args.get("sweeps", std::int64_t{40}));
-  const double bandwidth = args.get("bandwidth", 5e8);  // bytes per second
+  const auto sweeps = args.integer<std::size_t>("sweeps", 40, 1, "solver sweeps");
+  const double bandwidth = args.real("bandwidth", 5e8, "staging bytes per second");
+  args.finish_or_exit();
 
   const MatrixBlockWorkload workload = make_matrix_block_workload(mp);
   const Instance& inst = workload.instance;

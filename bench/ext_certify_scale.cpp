@@ -30,7 +30,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,17 +53,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::vector<std::size_t> parse_sizes(const std::string& spec) {
-  std::vector<std::size_t> sizes;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) sizes.push_back(static_cast<std::size_t>(std::stoull(item)));
-  }
-  if (sizes.empty()) throw std::invalid_argument("--sizes: no values");
-  return sizes;
-}
-
 std::vector<Time> uniform_tasks(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   std::vector<Time> p(n);
@@ -77,21 +65,18 @@ constexpr std::uint64_t kSeed = 20260808;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  const std::vector<std::size_t> sizes =
-      parse_sizes(args.get("sizes", std::string("100000,1000000")));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{64}));
-  const auto k = static_cast<unsigned>(args.get("k", std::int64_t{4}));
-  const auto fuzz_seeds =
-      static_cast<std::size_t>(args.get("fuzz-seeds", std::int64_t{200}));
+  Args args(argc, argv);
+  const auto sizes = args.integers<std::size_t>("sizes", "100000,1000000", 1, "sizes");
+  const auto m = args.integer<MachineId>("m", 64, 1, "machines");
+  const auto k = args.integer<unsigned>("k", 4, 1, "Hochbaum-Shmoys accuracy k");
+  const auto fuzz_seeds = args.integer<std::size_t>("fuzz-seeds", 200, 0, "fuzz seeds");
   const auto multifit_n =
-      static_cast<std::size_t>(args.get("multifit-n", std::int64_t{200'000}));
-  const auto batch_count =
-      static_cast<std::size_t>(args.get("batch", std::int64_t{16}));
-  const auto batch_n =
-      static_cast<std::size_t>(args.get("batch-n", std::int64_t{4096}));
+      args.integer<std::size_t>("multifit-n", 200'000, 0, "MULTIFIT comparison tasks");
+  const auto batch_count = args.integer<std::size_t>("batch", 16, 0, "batch instances");
+  const auto batch_n = args.integer<std::size_t>("batch-n", 4096, 0, "batch item tasks");
   const std::string out_path =
-      args.get("out", std::string("BENCH_certify_scale.json"));
+      args.text("out", "BENCH_certify_scale.json", "write the JSON record here");
+  args.finish_or_exit();
 
   const double bound = hs_guarantee(k);
   std::cout << "=== certify at scale: sizes={";

@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,17 +50,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-std::vector<double> parse_alphas(const std::string& spec) {
-  std::vector<double> alphas;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) alphas.push_back(std::stod(item));
-  }
-  if (alphas.empty()) throw std::invalid_argument("--alphas: no values");
-  return alphas;
-}
-
 struct Cell {
   double alpha = 0;
   std::size_t strategy = 0;
@@ -73,17 +61,16 @@ constexpr std::uint64_t kSeed = 1234;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{22}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{40}));
-  const auto threads =
-      static_cast<std::size_t>(args.get("threads", std::int64_t{8}));
-  const auto budget =
-      static_cast<std::uint64_t>(args.get("budget", std::int64_t{300'000}));
-  const std::vector<double> alphas =
-      parse_alphas(args.get("alphas", std::string("1.25,1.5,2.0")));
-  const std::string out_path = args.get("out", std::string("BENCH_certify.json"));
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 22, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto trials = args.integer<std::size_t>("trials", 40, 1, "trials per point");
+  const auto threads = args.integer<std::size_t>("threads", 8, 0, "workers");
+  const auto budget = args.integer<std::uint64_t>("budget", 300'000, 0, "node budget");
+  const std::vector<double> alphas = args.reals("alphas", "1.25,1.5,2.0", "alphas");
+  const std::string out_path =
+      args.text("out", "BENCH_certify.json", "write the JSON record here");
+  args.finish_or_exit();
 
   const std::vector<TwoPhaseStrategy> strategies = paper_strategy_family(m);
   const NoiseModel noises[] = {NoiseModel::kUniform, NoiseModel::kTwoPoint};

@@ -43,18 +43,16 @@ double seconds_since(Clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  const std::size_t cases =
-      static_cast<std::size_t>(args.get("cases", std::int64_t{400}));
-  const std::size_t reps =
-      static_cast<std::size_t>(args.get("reps", std::int64_t{50}));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const std::string out_path = args.get("out", std::string{});
+  Args args(argc, argv);
+  const std::size_t cases = args.integer<std::size_t>("cases", 400, 1, "fuzz cases");
+  const std::size_t reps = args.integer<std::size_t>("reps", 50, 1, "reps per case");
+  const std::uint64_t seed = args.integer<std::uint64_t>("seed", 1, 0, "random seed");
+  const std::string out_path = args.text("out", "", "write the JSON record here");
 
   check::FuzzCaseConfig gen;
-  gen.max_tasks = static_cast<std::size_t>(args.get("max-n", std::int64_t{24}));
-  gen.max_machines = static_cast<MachineId>(args.get("max-m", std::int64_t{6}));
+  gen.max_tasks = args.integer<std::size_t>("max-n", 24, 1, "max tasks per case");
+  gen.max_machines = args.integer<MachineId>("max-m", 6, 1, "max machines per case");
+  args.finish_or_exit();
 
   std::vector<check::FuzzCase> workload;
   workload.reserve(cases);

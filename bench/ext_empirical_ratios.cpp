@@ -19,9 +19,10 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto n_per_machine = static_cast<std::size_t>(args.get("n", std::int64_t{5}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{5}));
+  Args args(argc, argv);
+  const auto n_per_machine = args.integer<std::size_t>("n", 5, 1, "tasks per machine");
+  const auto trials = args.integer<std::size_t>("trials", 5, 1, "trials per point");
+  args.finish_or_exit();
 
   RatioExperimentConfig config;
   config.exact_node_budget = 300'000;

@@ -18,11 +18,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{64}));
-  const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{20}));
-  const double penalty = args.get("penalty", 25.0);
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 64, 1, "tasks");
+  const auto jobs = args.integer<std::size_t>("jobs", 20, 1, "jobs (one failure each)");
+  const double penalty = args.real("penalty", 25.0, "refetch penalty");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

@@ -20,9 +20,10 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{6}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{30}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 6, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 30, 1, "tasks");
+  args.finish_or_exit();
   const double wide = 2.0, narrow = 1.05;
 
   WorkloadParams params;

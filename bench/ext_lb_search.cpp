@@ -22,10 +22,10 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{9}));
-  const auto instances =
-      static_cast<std::size_t>(args.get("instances", std::int64_t{12}));
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 9, 1, "tasks");
+  const auto instances = args.integer<std::size_t>("instances", 12, 1, "per cell");
+  args.finish_or_exit();
 
   std::cout << "=== Ext-P: empirical approximability gap, no-replication model ===\n"
             << "(worst exhaustive two-point ratio over " << instances

@@ -15,9 +15,10 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{14}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{4}));
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 14, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 4, 1, "machines");
+  args.finish_or_exit();
 
   MemAwareConfig config;
   config.exact_node_budget = 300'000;

@@ -62,21 +62,20 @@ double seconds_since(Clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{500000}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{64}));
-  const auto groups = static_cast<MachineId>(args.get("groups", std::int64_t{8}));
-  const double rate = args.get("rate", 8.0);
-  const auto reps = static_cast<std::size_t>(args.get("reps", std::int64_t{5}));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const double max_overhead = args.get("max-overhead", 1.05);
-  auto drop_capacity = static_cast<std::size_t>(
-      args.get("drop-capacity", std::int64_t{0}));
-  const std::string out_path = args.get("out", std::string{});
-  if (reps == 0 || groups == 0 || m % groups != 0 || !(rate > 0.0) ||
-      !(max_overhead > 0.0)) {
-    std::cerr << "ext_obs_overhead: need reps >= 1, groups | m, rate > 0, "
-                 "max-overhead > 0\n";
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 500000, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 64, 1, "machines");
+  const auto groups = args.integer<MachineId>("groups", 8, 1, "groups (divides m)");
+  const double rate = args.real("rate", 8.0, "arrival rate (tasks per sim s)", 0.0);
+  const auto reps = args.integer<std::size_t>("reps", 5, 1, "timed repetitions");
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "random seed");
+  const double max_overhead = args.real("max-overhead", 1.05, "on/off ceiling", 0.0);
+  auto drop_capacity =
+      args.integer<std::size_t>("drop-capacity", 0, 0, "drop-run cap (0: auto)");
+  const std::string out_path = args.text("out", "", "write the JSON record here");
+  args.finish_or_exit();
+  if (m % groups != 0) {
+    std::cerr << "ext_obs_overhead: need groups | m\n";
     return EXIT_FAILURE;
   }
   const std::size_t full_events = 3 * n;  // arrive + start + finish

@@ -16,11 +16,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{4}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{24}));
-  const double alpha = args.get("alpha", 1.8);
-  const int points = static_cast<int>(args.get("points", std::int64_t{17}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 4, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 24, 1, "tasks");
+  const double alpha = args.real("alpha", 1.8, "uncertainty factor alpha");
+  const int points = args.integer<int>("points", 17, 1, "Delta grid points");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

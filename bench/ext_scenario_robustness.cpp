@@ -14,11 +14,11 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{6}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{30}));
-  const auto count =
-      static_cast<std::size_t>(args.get("scenarios", std::int64_t{15}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 6, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 30, 1, "tasks");
+  const auto count = args.integer<std::size_t>("scenarios", 15, 1, "scenarios");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

@@ -94,20 +94,18 @@ std::uint64_t run_hold(Queue& queue, std::size_t size, std::size_t ops,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{1000000}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{64}));
-  const auto groups =
-      static_cast<MachineId>(args.get("groups", std::int64_t{8}));
-  const auto reps = static_cast<std::size_t>(args.get("reps", std::int64_t{3}));
-  const auto hold_size =
-      static_cast<std::size_t>(args.get("hold-size", std::int64_t{4096}));
-  const auto hold_ops =
-      static_cast<std::size_t>(args.get("hold-ops", std::int64_t{2000000}));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const std::string out_path = args.get("out", std::string{});
-  if (reps == 0 || groups == 0 || m % groups != 0) {
-    std::cerr << "ext_sim_throughput: need reps >= 1 and groups | m\n";
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 1000000, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 64, 1, "machines");
+  const auto groups = args.integer<MachineId>("groups", 8, 1, "groups (divides m)");
+  const auto reps = args.integer<std::size_t>("reps", 3, 1, "timed repetitions");
+  const auto hold_size = args.integer<std::size_t>("hold-size", 4096, 1, "hold size");
+  const auto hold_ops = args.integer<std::size_t>("hold-ops", 2000000, 1, "hold ops");
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "random seed");
+  const std::string out_path = args.text("out", "", "write the JSON record here");
+  args.finish_or_exit();
+  if (m % groups != 0) {
+    std::cerr << "ext_sim_throughput: need groups | m\n";
     return EXIT_FAILURE;
   }
 

@@ -31,10 +31,11 @@ double seconds_since(Clock::time_point start) {
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{16}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{4}));
-  const auto reps = static_cast<std::size_t>(args.get("reps", std::int64_t{10}));
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 16, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 4, 1, "machines");
+  const auto reps = args.integer<std::size_t>("reps", 10, 1, "random instances");
+  args.finish_or_exit();
 
   std::cout << "=== Ext-I: solver quality ladder (n=" << n << ", m=" << m << ", "
             << reps << " random instances) ===\n\n";

@@ -20,11 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{40}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{8}));
-  const double slow = args.get("slow", 0.3);
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 40, 1, "tasks");
+  const auto trials = args.integer<std::size_t>("trials", 8, 1, "trials per point");
+  const double slow = args.real("slow", 0.3, "straggler speed");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

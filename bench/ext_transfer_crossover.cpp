@@ -21,11 +21,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{48}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{6}));
-  const std::string json_path = args.get("json", std::string(""));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 48, 1, "tasks");
+  const auto trials = args.integer<std::size_t>("trials", 6, 1, "trials per point");
+  const std::string json_path = args.text("json", "", "write a JSON report");
+  args.finish_or_exit();
 
   // Sizes correlate with times (out-of-core blocks): fetching a big task
   // costs time comparable to running it at bandwidth ~1.

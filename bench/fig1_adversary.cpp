@@ -18,11 +18,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{6}));
-  const auto lambda = static_cast<std::size_t>(args.get("lambda", std::int64_t{3}));
-  const double alpha = args.get("alpha", 2.0);
-  const auto sweep_max = static_cast<std::size_t>(args.get("sweep", std::int64_t{64}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 6, 1, "machines");
+  const auto lambda = args.integer<std::size_t>("lambda", 3, 1, "tasks per machine");
+  const double alpha = args.real("alpha", 2.0, "uncertainty factor alpha");
+  const auto sweep_max = args.integer<std::size_t>("sweep", 64, 1, "largest swept size");
+  args.finish_or_exit();
 
   std::cout << "=== Figure 1: Theorem 1 adversary (lambda=" << lambda << ", m=" << m
             << ", alpha=" << alpha << ") ===\n\n";

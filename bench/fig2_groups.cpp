@@ -16,12 +16,13 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{6}));
-  const auto k = static_cast<MachineId>(args.get("k", std::int64_t{2}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{10}));
-  const double alpha = args.get("alpha", 1.5);
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{3}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 6, 1, "machines");
+  const auto k = args.integer<MachineId>("k", 2, 1, "replication groups k");
+  const auto n = args.integer<std::size_t>("n", 10, 1, "tasks");
+  const double alpha = args.real("alpha", 1.5, "uncertainty factor alpha");
+  const auto seed = args.integer<std::uint64_t>("seed", 3, 0, "random seed");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

@@ -9,7 +9,6 @@
 // Usage: fig3_ratio_replication [--m=210] [--alphas=1.1,1.5,2.0] [--csv]
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,23 +17,13 @@
 #include "io/csv.hpp"
 #include "io/table.hpp"
 
-namespace {
-std::vector<double> parse_alphas(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{210}));
-  const std::vector<double> alphas =
-      parse_alphas(args.get("alphas", std::string("1.1,1.5,2.0")));
-  const bool csv = args.get("csv", false);
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 210, 1, "machines");
+  const std::vector<double> alphas = args.reals("alphas", "1.1,1.5,2.0", "alphas");
+  const bool csv = args.toggle("csv", "print CSV");
+  args.finish_or_exit();
 
   if (csv) {
     CsvWriter w(std::cout);

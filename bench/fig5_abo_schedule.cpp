@@ -19,11 +19,13 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{4}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{10}));
-  const double delta = args.get("delta", 1.0);
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{5}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 4, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 10, 1, "tasks");
+  const double delta = args.real("delta", 1.0, "memory/makespan trade-off Delta");
+  const auto seed = args.integer<std::uint64_t>("seed", 5, 0, "random seed");
+  const std::string svg_path = args.text("svg", "", "write the schedule as SVG");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;
@@ -53,7 +55,6 @@ int main(int argc, char** argv) {
             << "C_max   = " << abo.makespan << "\n"
             << "Mem_max = " << abo.max_memory << " (every S1 replica counted)\n";
 
-  const std::string svg_path = args.get("svg", std::string(""));
   if (!svg_path.empty()) {
     SvgOptions options;
     options.hollow = abo.in_s2;  // pinned S2 hollow, replicated S1 solid

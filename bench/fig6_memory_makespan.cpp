@@ -35,9 +35,10 @@ constexpr Config kConfigs[] = {
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const int points = static_cast<int>(args.get("points", std::int64_t{9}));
-  const bool csv = args.get("csv", false);
+  Args args(argc, argv);
+  const int points = args.integer<int>("points", 9, 1, "Delta grid points");
+  const bool csv = args.toggle("csv", "print CSV");
+  args.finish_or_exit();
 
   if (csv) {
     CsvWriter w(std::cout);

@@ -6,7 +6,6 @@
 // Usage: table1_summary [--m=8] [--alphas=1.1,1.5,2.0] [--n=24] [--trials=5]
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,14 +18,6 @@
 #include "workload/generators.hpp"
 
 namespace {
-
-std::vector<double> parse_alphas(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
 
 double worst_measured(const rdp::TwoPhaseStrategy& strategy,
                       const rdp::Instance& inst, std::size_t trials) {
@@ -46,12 +37,12 @@ double worst_measured(const rdp::TwoPhaseStrategy& strategy,
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{24}));
-  const auto trials = static_cast<std::size_t>(args.get("trials", std::int64_t{5}));
-  const std::vector<double> alphas =
-      parse_alphas(args.get("alphas", std::string("1.1,1.5,2.0")));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 24, 1, "tasks");
+  const auto trials = args.integer<std::size_t>("trials", 5, 1, "trials per point");
+  const std::vector<double> alphas = args.reals("alphas", "1.1,1.5,2.0", "alphas");
+  args.finish_or_exit();
 
   std::cout << "=== Table 1: replication-bound model guarantees (m=" << m << ") ===\n"
             << "Rows: replication regime. Guarantee columns are the paper's\n"

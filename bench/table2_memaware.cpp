@@ -5,7 +5,6 @@
 // Usage: table2_memaware [--m=5] [--n=14] [--deltas=0.5,1.0,2.0]
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,24 +15,14 @@
 #include "perturb/stochastic.hpp"
 #include "workload/generators.hpp"
 
-namespace {
-std::vector<double> parse_list(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stod(item));
-  return out;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{5}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{14}));
-  const std::vector<double> deltas =
-      parse_list(args.get("deltas", std::string("0.1,0.5,2.0,8.0")));
-  const double alpha = args.get("alpha", 1.5);
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 5, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 14, 1, "tasks");
+  const std::vector<double> deltas = args.reals("deltas", "0.1,0.5,2.0,8.0", "Deltas");
+  const double alpha = args.real("alpha", 1.5, "uncertainty factor alpha");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

@@ -19,12 +19,13 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{4}));
-  const auto lambda = static_cast<std::size_t>(args.get("lambda", std::int64_t{4}));
-  const double alpha = args.get("alpha", 2.0);
-  const std::string policy = args.get("policy", std::string("lpt"));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 4, 1, "machines");
+  const auto lambda = args.integer<std::size_t>("lambda", 4, 1, "tasks per machine");
+  const double alpha = args.real("alpha", 2.0, "uncertainty factor alpha");
+  const std::string policy = args.text("policy", "lpt", "lpt|random|round-robin");
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "random seed");
+  args.finish_or_exit();
 
   const TwoPhaseStrategy strategy = [&] {
     if (policy == "random") return make_random_no_choice(seed);

@@ -20,12 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto history_size =
-      static_cast<std::size_t>(args.get("history", std::int64_t{500}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{6}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{30}));
-  const std::string svg_path = args.get("svg", std::string(""));
+  Args args(argc, argv);
+  const auto history_size = args.integer<std::size_t>("history", 500, 1, "history tasks");
+  const auto m = args.integer<MachineId>("m", 6, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 30, 1, "tasks");
+  const std::string svg_path = args.text("svg", "", "write the schedule as SVG");
+  args.finish_or_exit();
 
   // ---- Step 1: calibrate alpha from history. -------------------------
   // Synthetic history: the "true" system perturbs estimates log-uniformly

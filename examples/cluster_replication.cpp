@@ -20,11 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{12}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{96}));
-  const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{25}));
-  const double alpha = args.get("alpha", 2.0);
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 12, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 96, 1, "tasks");
+  const auto jobs = args.integer<std::size_t>("jobs", 25, 1, "jobs");
+  const double alpha = args.real("alpha", 2.0, "uncertainty factor alpha");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

@@ -18,11 +18,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const double budget = args.get("budget", 3.0);  // memory factor budget
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{5}));
-  const double alpha = args.get("alpha", 1.7);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{15}));
+  Args args(argc, argv);
+  const double budget = args.real("budget", 3.0, "memory budget (x optimal)");
+  const auto m = args.integer<MachineId>("m", 5, 1, "machines");
+  const double alpha = args.real("alpha", 1.7, "uncertainty factor alpha");
+  const auto n = args.integer<std::size_t>("n", 15, 1, "tasks");
+  args.finish_or_exit();
 
   const double rho = 4.0 / 3.0 - 1.0 / (3.0 * static_cast<double>(m));
 

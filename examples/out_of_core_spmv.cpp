@@ -22,14 +22,15 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
+  Args args(argc, argv);
 
   MatrixBlockParams mp;
-  mp.num_blocks = static_cast<std::size_t>(args.get("blocks", std::int64_t{64}));
-  mp.num_machines = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  mp.alpha = args.get("alpha", 1.6);
+  mp.num_blocks = args.integer<std::size_t>("blocks", 64, 1, "matrix blocks");
+  mp.num_machines = args.integer<MachineId>("m", 8, 1, "machines");
+  mp.alpha = args.real("alpha", 1.6, "uncertainty factor alpha");
   mp.seed = 99;
-  const auto iters = static_cast<std::size_t>(args.get("iters", std::int64_t{20}));
+  const auto iters = args.integer<std::size_t>("iters", 20, 1, "solver sweeps");
+  args.finish_or_exit();
 
   const MatrixBlockWorkload workload = make_matrix_block_workload(mp);
   const Instance& inst = workload.instance;

@@ -14,10 +14,11 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{48}));
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{5}));
+  Args args(argc, argv);
+  const auto n = args.integer<std::size_t>("n", 48, 1, "tasks");
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto seed = args.integer<std::uint64_t>("seed", 5, 0, "random seed");
+  args.finish_or_exit();
 
   std::cout << "=== Workload profile tour (n=" << n << ", m=" << m << ") ===\n\n";
 

@@ -18,11 +18,12 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const auto n = static_cast<std::size_t>(args.get("n", std::int64_t{48}));
-  const double slow = args.get("slow", 0.3);
-  const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{10}));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const auto n = args.integer<std::size_t>("n", 48, 1, "tasks");
+  const double slow = args.real("slow", 0.3, "straggler speed");
+  const auto jobs = args.integer<std::size_t>("jobs", 10, 1, "jobs");
+  args.finish_or_exit();
 
   WorkloadParams params;
   params.num_tasks = n;

@@ -19,9 +19,10 @@
 
 int main(int argc, char** argv) {
   using namespace rdp;
-  const Args args(argc, argv);
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{6}));
-  const std::string trace_path = args.get("trace", std::string(""));
+  Args args(argc, argv);
+  const auto m = args.integer<MachineId>("m", 6, 1, "machines");
+  const std::string trace_path = args.text("trace", "", "trace CSV (default: a demo)");
+  args.finish_or_exit();
 
   Trace trace;
   if (trace_path.empty()) {

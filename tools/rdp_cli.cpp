@@ -8,20 +8,18 @@
 //   rdp_cli run      --instance=inst.csv --strategy=ls-group:2
 //           [--trace=trace.csv | --noise=uniform --seed=7]
 //           [--svg=gantt.svg] [--json=result.json]
-//   rdp_cli evaluate --instance=inst.csv --scenarios=12 --seed=3
 //   rdp_cli sweep    --instance=inst.csv --strategy=ls-group:2 --trials=64
-//           --threads=4 --ratios --cache-size=4096 --certify-budget=2000000
-//           --metrics-out=metrics.json --trace-out=run.json
+//           --threads=4 --ratios --metrics-out=metrics.json --trace-out=run.json
 //   rdp_cli bounds   --m=8 --alpha=1.5
 //
-// Every command prints a human-readable summary; `run --json` also emits
-// a machine-readable report. The global flags --metrics-out=FILE and
-// --trace-out=FILE work with every command: they install an observability
-// scope for the command's duration and write a metrics snapshot (JSON)
-// and a wall-clock trace (Chrome trace_event format, or JSONL when FILE
-// ends in .jsonl) on exit. --sample-out=FILE additionally runs an
-// obs::RunSampler that appends a JSONL metrics snapshot every
-// --sample-period=MS milliseconds for the duration of the command.
+// Every command declares its flags where it reads them (cli/args.hpp), so
+// `rdp_cli <command> --help` is generated from the reads themselves and an
+// undeclared, repeated or malformed flag is a usage error before any work.
+// Every command prints a human-readable summary; `run`, `sweep` and
+// `serve` --json reports also record the resolved flag set. The global
+// flags (Session below) install observability sinks for the command's
+// duration: a metrics snapshot, a wall-clock trace, a sampled JSONL time
+// series and the task-lifecycle flight recording.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -46,82 +44,90 @@ using namespace rdp;
 /// with a usage hint; runtime failures (I/O, gate regressions) are 1.
 constexpr int kExitUsage = 2;
 
-int usage(const char* program) {
-  std::cerr
-      << "usage: " << program
-      << " <generate|realize|run|serve|obs|evaluate|sweep|bounds|repro|fuzz|perf>"
-         " [--flags]\n\n"
-         "  generate --kind=uniform|heavy-tailed|bimodal|lognormal|"
-         "correlated|anti-correlated|independent|unit|profile:NAME\n"
-         "           --n=N --m=M --alpha=A --seed=S --out=FILE\n"
-         "  realize  --instance=FILE --noise=MODEL --seed=S --out=TRACE\n"
-         "  run      --instance=FILE --strategy=SPEC [--trace=TRACE]\n"
-         "           [--noise=MODEL --seed=S] [--svg=FILE] [--json=FILE]\n"
-         "  serve    --arrivals=poisson|burst|trace [--rate=R]\n"
-         "           [--tasks=N | --duration=S] [--strategy=SPEC]\n"
-         "           [--kind=KIND --m=M --alpha=A | --instance=FILE]\n"
-         "           [--noise=MODEL] [--seed=S] [--arrival-seed=S]\n"
-         "           [--burst-boost=B --burst-on=T --burst-off=T]\n"
-         "           [--trace=FILE] [--json=FILE]\n"
-         "           [--adaptive [--epoch=N] [--drift=D] [--classes=C]]\n"
-         "           [--slo=p99=X,backlog=Y[,p50=][,p90=][,window=SEC]\n"
-         "                  [,sustain=K]]\n"
-         "           (streaming dispatch under continuous arrivals;\n"
-         "            reports response-time p50/p90/p99, queueing-delay\n"
-         "            decomposition, and dispatched tasks/sec; --adaptive\n"
-         "            estimates alpha online and re-places unadmitted\n"
-         "            tasks when the estimate drifts past --drift;\n"
-         "            --slo evaluates windowed burn rates and exits 1 on\n"
-         "            a sustained violation)\n"
-         "  obs      --timeline=FILE [--json=FILE] [--chrome=FILE]\n"
-         "           [--jobs=N]\n"
-         "           (post-process a --timeline-out flight recording into\n"
-         "            per-task latency attribution (queue-wait vs service),\n"
-         "            a per-machine utilization/stall report, and a\n"
-         "            per-machine-lane Chrome trace)\n"
-         "  evaluate --instance=FILE [--scenarios=K] [--seed=S]\n"
-         "           [--scenario-kind=mixed|drifting|misreported]\n"
-         "           [--alpha-to=A] [--true-alpha=A]\n"
-         "  sweep    --instance=FILE --strategy=SPEC [--noise=MODEL]\n"
-         "           [--trials=K] [--threads=T] [--seed=S] [--json=FILE]\n"
-         "           [--ratios] (certified competitive ratios per trial)\n"
-         "           [--cache-size=N] [--certify-budget=B] (with --ratios)\n"
-         "  bounds   --m=M --alpha=A\n"
-         "  repro    [--out=DIR] [--results=FILE] [--filter=EXPR]\n"
-         "           [--jobs=N] [--seed=S] [--budget=B] [--force] [--list]\n"
-         "           (regenerate the paper's tables/figures/theorem checks;\n"
-         "            filter terms match artifact names, tags, or kinds,\n"
-         "            e.g. --filter=smoke or --filter=table,fig1)\n"
-         "  fuzz     [--seeds=N] [--jobs=K] [--start-seed=S]\n"
-         "           [--max-n=N] [--max-m=M] [--report=FILE.jsonl]\n"
-         "           [--no-shrink] [--scenario=default|drifting-alpha]\n"
-         "           (differential fuzzing of every sim/ dispatcher against\n"
-         "            the schedule invariants in src/check/; failing seeds\n"
-         "            are shrunk and written one JSONL line each)\n"
-         "  perf     record  --in=FILE[,FILE...] [--name=N] [--out=FILE]\n"
-         "           compare --baseline=FILE --current=FILE [--json=FILE]\n"
-         "                   [--warn-only] [--enforce-exact] [--ignore-params]\n"
-         "                   [--rel-tol=R] [--mad-mult=K]\n"
-         "           gate    [--baselines=DIR] [--current-dir=DIR]\n"
-         "                   [--json=FILE] [--warn-only] [--enforce-exact]\n"
-         "           (normalize BENCH_*.json into BenchRecords, diff fresh\n"
-         "            runs against committed baselines in bench/baselines/;\n"
-         "            see docs/PERFORMANCE.md)\n\n"
-         "global:  --metrics-out=FILE (metrics snapshot JSON)\n"
-         "         --trace-out=FILE   (Chrome trace_event; .jsonl for JSONL)\n"
-         "         --sample-out=FILE  (JSONL metrics time series, one line\n"
-         "                             per --sample-period=MS, default 1000)\n"
-         "         --timeline-out=FILE (task-lifecycle flight recording,\n"
-         "                             JSONL; cap with --timeline-capacity=N,\n"
-         "                             default 4194304 events)\n"
-         "         --debug-checks     (re-validate every dispatched schedule\n"
-         "                             in experiment paths; also via\n"
-         "                             RDP_DEBUG_CHECKS=1)\n\n"
-         "strategies:";
-  for (const std::string& spec : known_strategy_specs()) std::cerr << ' ' << spec;
-  std::cerr << "\nnoise models: none uniform log-uniform two-point"
-               " beta-centered always-high always-low\n";
-  return kExitUsage;
+/// The global flags every command accepts and the observability sinks
+/// they install for the command's duration.
+class Session {
+ public:
+  /// Declares the global flags and runs the finishing step on the whole
+  /// command line (std::invalid_argument on any bad flag). Returns false
+  /// on --help, when the command must return without running; otherwise
+  /// installs the requested sinks.
+  bool start(Args& args) {
+    metrics_path_ = args.text("metrics-out", "", "write a metrics snapshot (JSON)");
+    trace_path_ = args.text("trace-out", "", "write a Chrome trace (.jsonl: JSONL)");
+    sample_path_ = args.text("sample-out", "", "append sampled metrics (JSONL)");
+    const auto period =
+        args.integer<std::int64_t>("sample-period", 1000, 1, "ms between samples");
+    timeline_path_ = args.text("timeline-out", "", "write the flight recording (JSONL)");
+    constexpr std::size_t kCapacity = obs::TimelineRecorder::kDefaultCapacity;
+    const auto capacity =
+        args.integer<std::size_t>("timeline-capacity", kCapacity, 0, "event cap");
+    const bool debug_checks = args.toggle("debug-checks", "re-validate every schedule");
+    if (args.finish()) return false;
+
+    // --sample-out needs a registry to sample, so it implies one even
+    // without --metrics-out (the snapshot then only feeds the series).
+    if (!metrics_path_.empty() || !sample_path_.empty()) {
+      registry_ = std::make_unique<obs::MetricsRegistry>();
+    }
+    if (!trace_path_.empty()) tracer_ = std::make_unique<obs::Tracer>();
+    if (!timeline_path_.empty()) {
+      timeline_ = std::make_unique<obs::TimelineRecorder>(capacity);
+    }
+    scope_.emplace(registry_.get(), tracer_.get());
+    timeline_scope_.emplace(timeline_.get());
+    // Constructed after the scope so it samples the installed registry and
+    // is stopped (final sample + flush) before the scope unwinds.
+    if (!sample_path_.empty()) {
+      obs::RunSamplerOptions options;
+      options.path = sample_path_;
+      options.period = std::chrono::milliseconds(period);
+      sampler_ = std::make_unique<obs::RunSampler>(nullptr, options);
+    }
+    if (debug_checks) check::set_debug_checks(true);
+    return true;
+  }
+
+  /// Stops the sampler and writes every requested output.
+  void save() {
+    if (sampler_) {
+      sampler_->stop();
+      std::cout << sampler_->samples() << " sample(s) written to " << sample_path_
+                << "\n";
+    }
+    if (timeline_) {
+      timeline_->save(timeline_path_);
+      std::cout << timeline_->size() << " timeline event(s) written to "
+                << timeline_path_;
+      if (timeline_->dropped() > 0) {
+        std::cout << " (" << timeline_->dropped() << " dropped at capacity "
+                  << timeline_->capacity() << ")";
+      }
+      std::cout << "\n";
+    }
+    if (registry_ && !metrics_path_.empty()) {
+      registry_->save_json(metrics_path_);
+      std::cout << "metrics written to " << metrics_path_ << "\n";
+    }
+    if (tracer_) {
+      tracer_->save(trace_path_);
+      std::cout << "trace written to " << trace_path_ << "\n";
+    }
+  }
+
+ private:
+  std::string metrics_path_, trace_path_, sample_path_, timeline_path_;
+  std::unique_ptr<obs::MetricsRegistry> registry_;
+  std::unique_ptr<obs::Tracer> tracer_;
+  std::unique_ptr<obs::TimelineRecorder> timeline_;
+  std::optional<obs::ObservabilityScope> scope_;
+  std::optional<obs::TimelineScope> timeline_scope_;
+  std::unique_ptr<obs::RunSampler> sampler_;
+};
+
+/// "p50 / p90 / p99" of a histogram summary, for the report tables.
+std::string quantiles(const obs::HistogramSummary& h) {
+  return fmt(h.p50, 4) + " / " + fmt(h.p90, 4) + " / " + fmt(h.p99, 4);
 }
 
 NoiseModel noise_from_name(const std::string& name) {
@@ -131,14 +137,24 @@ NoiseModel noise_from_name(const std::string& name) {
   throw std::invalid_argument("unknown noise model '" + name + "'");
 }
 
-Instance generate_instance(const Args& args, std::size_t force_n = 0) {
+/// The synthetic-workload flags of generate and serve (serve sizes the
+/// workload by its arrivals, so it reads no --n).
+struct WorkloadFlags {
+  std::string kind;
   WorkloadParams params;
-  params.num_tasks =
-      force_n ? force_n : static_cast<std::size_t>(args.get("n", std::int64_t{40}));
-  params.num_machines = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  params.alpha = args.get("alpha", 1.5);
-  params.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const std::string kind = args.get("kind", std::string("uniform"));
+};
+
+WorkloadFlags workload_flags(Args& args, bool with_n) {
+  WorkloadFlags w;
+  w.kind = args.text("kind", "uniform", "workload kind (see the usage text)");
+  if (with_n) w.params.num_tasks = args.integer<std::size_t>("n", 40, 1, "tasks");
+  w.params.num_machines = args.integer<MachineId>("m", 8, 1, "machines");
+  w.params.alpha = args.real("alpha", 1.5, "uncertainty factor alpha");
+  w.params.seed = args.integer<std::uint64_t>("seed", 1, 0, "random seed");
+  return w;
+}
+
+Instance generate_instance(const std::string& kind, const WorkloadParams& params) {
   if (kind == "uniform") return uniform_workload(params);
   if (kind == "heavy-tailed") return heavy_tailed_workload(params);
   if (kind == "bimodal") return bimodal_workload(params);
@@ -157,25 +173,33 @@ Instance generate_instance(const Args& args, std::size_t force_n = 0) {
   throw std::invalid_argument("unknown workload kind '" + kind + "'");
 }
 
-int cmd_generate(const Args& args) {
-  const Instance inst = generate_instance(args);
-  const std::string out = args.get("out", std::string(""));
-  if (out.empty()) throw std::invalid_argument("generate: --out is required");
+/// Writes a --json report. It records the resolved flag set (defaults
+/// included), so the report alone reproduces its run, and the metrics
+/// snapshot when --metrics-out installed a registry.
+void save_report(ExperimentReport& report, const Args& args, const std::string& path) {
+  for (const auto& [name, value] : args.resolved()) report.set_param("--" + name, value);
+  if (obs::MetricsRegistry* mx = obs::metrics()) report.attach_metrics(mx->snapshot());
+  report.save_json(path);
+  std::cout << "JSON written to " << path << "\n";
+}
+
+int cmd_generate(Args& args, Session& session) {
+  const WorkloadFlags w = workload_flags(args, true);
+  const std::string out = args.required("out", "instance CSV to write");
+  if (!session.start(args)) return EXIT_SUCCESS;
+  const Instance inst = generate_instance(w.kind, w.params);
   save_instance(out, inst);
   std::cout << "wrote " << inst.summary() << " to " << out << "\n";
   return EXIT_SUCCESS;
 }
 
-int cmd_realize(const Args& args) {
-  const std::string in = args.get("instance", std::string(""));
-  const std::string out = args.get("out", std::string(""));
-  if (in.empty() || out.empty()) {
-    throw std::invalid_argument("realize: --instance and --out are required");
-  }
+int cmd_realize(Args& args, Session& session) {
+  const std::string in = args.required("instance", "instance CSV");
+  const std::string out = args.required("out", "trace CSV to write");
+  const NoiseModel model = noise_from_name(args.text("noise", "uniform", "noise model"));
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "noise seed");
+  if (!session.start(args)) return EXIT_SUCCESS;
   const Instance inst = load_instance(in);
-  const NoiseModel model =
-      noise_from_name(args.get("noise", std::string("uniform")));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   const Realization actual = realize(inst, model, seed);
   save_trace(out, make_synthetic_trace(inst, actual));
   std::cout << "wrote trace (" << inst.num_tasks() << " records, noise "
@@ -183,27 +207,28 @@ int cmd_realize(const Args& args) {
   return EXIT_SUCCESS;
 }
 
-int cmd_run(const Args& args) {
-  const std::string in = args.get("instance", std::string(""));
-  if (in.empty()) throw std::invalid_argument("run: --instance is required");
+int cmd_run(Args& args, Session& session) {
+  const std::string in = args.required("instance", "instance CSV");
+  const std::string trace_path = args.text("trace", "", "replay this trace's actuals");
+  const NoiseModel model = noise_from_name(args.text("noise", "uniform", "noise model"));
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "noise seed");
+  const TwoPhaseStrategy strategy = strategy_from_spec(
+      args.text("strategy", "lpt-no-restriction", "strategy spec"));
+  const std::string svg_path = args.text("svg", "", "write a Gantt chart (SVG)");
+  const std::string json_path = args.text("json", "", "write a JSON report");
+  if (!session.start(args)) return EXIT_SUCCESS;
   Instance inst = load_instance(in);
 
   Realization actual;
-  const std::string trace_path = args.get("trace", std::string(""));
   if (!trace_path.empty()) {
     const ReplayableWorkload workload =
         workload_from_trace(load_trace(trace_path), inst.num_machines());
     inst = workload.instance;
     actual = workload.actual;
   } else {
-    const NoiseModel model =
-        noise_from_name(args.get("noise", std::string("uniform")));
-    actual = realize(inst, model,
-                     static_cast<std::uint64_t>(args.get("seed", std::int64_t{1})));
+    actual = realize(inst, model, seed);
   }
 
-  const TwoPhaseStrategy strategy =
-      strategy_from_spec(args.get("strategy", std::string("lpt-no-restriction")));
   const StrategyResult result = strategy.run(inst, actual);
   const CertifiedCmax opt = certified_cmax(actual.actual, inst.num_machines());
   const ScheduleStats stats = compute_schedule_stats(inst, result.schedule);
@@ -218,12 +243,10 @@ int cmd_run(const Args& args) {
   table.add_row({"diagnostics", to_string(stats)});
   std::cout << table.render();
 
-  const std::string svg_path = args.get("svg", std::string(""));
   if (!svg_path.empty()) {
     save_svg(svg_path, inst, result.schedule);
     std::cout << "SVG written to " << svg_path << "\n";
   }
-  const std::string json_path = args.get("json", std::string(""));
   if (!json_path.empty()) {
     ExperimentReport report("rdp-cli-run", "single strategy run");
     report.set_param("strategy", strategy.name());
@@ -233,184 +256,105 @@ int cmd_run(const Args& args) {
     series.add_row({result.makespan, opt.lower, result.makespan / opt.lower,
                     result.max_memory,
                     static_cast<double>(result.max_replication)});
-    if (obs::MetricsRegistry* mx = obs::metrics()) {
-      report.attach_metrics(mx->snapshot());
-    }
-    report.save_json(json_path);
-    std::cout << "JSON written to " << json_path << "\n";
+    save_report(report, args, json_path);
   }
   return EXIT_SUCCESS;
 }
 
-int cmd_sweep(const Args& args) {
-  const std::string in = args.get("instance", std::string(""));
-  if (in.empty()) throw std::invalid_argument("sweep: --instance is required");
+int cmd_sweep(Args& args, Session& session) {
+  const std::string in = args.required("instance", "instance CSV");
+  const TwoPhaseStrategy strategy = strategy_from_spec(
+      args.text("strategy", "lpt-no-restriction", "strategy spec"));
+  const NoiseModel model = noise_from_name(args.text("noise", "uniform", "noise model"));
+  const auto trials = args.integer<std::size_t>("trials", 32, 1, "realizations");
+  const auto threads = args.integer<std::size_t>("threads", 0, 0, "workers (0: all)");
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "first trial's seed");
+  const bool ratio_mode = args.toggle("ratios", "certified competitive ratio per trial");
+  constexpr std::size_t kCache = CertifyEngine::kDefaultCacheCapacity;
+  const auto cache_size =
+      args.integer<std::size_t>("cache-size", kCache, 0, "certify cache (--ratios)");
+  const auto budget =
+      args.integer<std::uint64_t>("certify-budget", 2'000'000, 0, "B&B nodes (--ratios)");
+  const std::string json_path = args.text("json", "", "write a JSON report");
+  if (!session.start(args)) return EXIT_SUCCESS;
   const Instance inst = load_instance(in);
-  const TwoPhaseStrategy strategy =
-      strategy_from_spec(args.get("strategy", std::string("lpt-no-restriction")));
-  const NoiseModel model =
-      noise_from_name(args.get("noise", std::string("uniform")));
-  const auto trials =
-      static_cast<std::size_t>(args.get("trials", std::int64_t{32}));
-  const auto threads =
-      static_cast<std::size_t>(args.get("threads", std::int64_t{0}));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  if (trials == 0) throw std::invalid_argument("sweep: --trials must be >= 1");
 
-  if (args.get("ratios", false)) {
+  ThreadPool pool(threads);
+  TextTable table({"quantity", "value"});
+  table.add_row({"strategy", strategy.name()});
+  table.add_row({"noise", to_string(model)});
+  table.add_row({"trials", std::to_string(trials)});
+  table.add_row({"threads", std::to_string(pool.num_threads())});
+  ExperimentReport report("rdp-cli-sweep", ratio_mode ? "certified ratio sweep"
+                                                      : "parallel makespan sweep");
+  report.set_param("strategy", strategy.name());
+  report.set_param("noise", to_string(model));
+  report.set_param("instance", in);
+  if (ratio_mode) {
     // Certified-ratio mode: every trial's makespan is divided by a
     // certified optimum, so denominators route through a batched,
     // canonicalizing cache (exact/certify.hpp) and solve in parallel.
-    const auto cache_size = static_cast<std::size_t>(args.get(
-        "cache-size",
-        static_cast<std::int64_t>(CertifyEngine::kDefaultCacheCapacity)));
     CertifyEngine engine(cache_size);
-    ThreadPool pool(threads);
     RatioExperimentConfig config;
-    config.exact_node_budget = static_cast<std::uint64_t>(
-        args.get("certify-budget", std::int64_t{2'000'000}));
+    config.exact_node_budget = budget;
     config.engine = &engine;
     config.pool = &pool;
     const std::vector<RatioTrial> series =
         measure_ratio_trials(strategy, inst, model, trials, seed, config);
     Welford ratios;
     std::size_t exact = 0;
-    for (const RatioTrial& trial : series) {
-      ratios.add(trial.ratio);
-      exact += trial.exact_optimum ? 1 : 0;
+    Series& out =
+        report.series("ratios", {"seed", "makespan", "opt_lower", "ratio", "exact"});
+    for (std::size_t t = 0; t < series.size(); ++t) {
+      ratios.add(series[t].ratio);
+      exact += series[t].exact_optimum ? 1 : 0;
+      out.add_row({static_cast<double>(seed + t), series[t].algorithm_makespan,
+                   series[t].optimal_lower_bound, series[t].ratio,
+                   series[t].exact_optimum ? 1.0 : 0.0});
     }
     const CertifyCacheStats cache = engine.cache_stats();
-
-    TextTable table({"quantity", "value"});
-    table.add_row({"strategy", strategy.name()});
-    table.add_row({"noise", to_string(model)});
-    table.add_row({"trials", std::to_string(trials)});
-    table.add_row({"threads", std::to_string(pool.num_threads())});
     table.add_row({"mean ratio", fmt(ratios.mean(), 4)});
     table.add_row({"stddev ratio", fmt(ratios.stddev(), 4)});
     table.add_row({"worst ratio", fmt(ratios.max(), 4)});
-    table.add_row({"exact optima", std::to_string(exact) + "/" +
-                                       std::to_string(trials)});
+    table.add_row({"exact optima", std::to_string(exact) + "/" + std::to_string(trials)});
     table.add_row({"cache hits", std::to_string(cache.hits)});
     table.add_row({"cache misses", std::to_string(cache.misses)});
     table.add_row({"cache hit rate", fmt(cache.hit_rate(), 4)});
-    std::cout << table.render();
-
-    const std::string json_path = args.get("json", std::string(""));
-    if (!json_path.empty()) {
-      ExperimentReport report("rdp-cli-sweep", "certified ratio sweep");
-      report.set_param("strategy", strategy.name());
-      report.set_param("noise", to_string(model));
-      report.set_param("instance", in);
-      Series& out = report.series(
-          "ratios", {"seed", "makespan", "opt_lower", "ratio", "exact"});
-      for (std::size_t t = 0; t < series.size(); ++t) {
-        out.add_row({static_cast<double>(seed + t), series[t].algorithm_makespan,
-                     series[t].optimal_lower_bound, series[t].ratio,
-                     series[t].exact_optimum ? 1.0 : 0.0});
-      }
-      if (obs::MetricsRegistry* mx = obs::metrics()) {
-        report.attach_metrics(mx->snapshot());
-      }
-      report.save_json(json_path);
-      std::cout << "JSON written to " << json_path << "\n";
-    }
-    return EXIT_SUCCESS;
-  }
-
-  std::vector<std::uint64_t> seeds(trials);
-  for (std::size_t t = 0; t < trials; ++t) seeds[t] = seed + t;
-  const std::vector<SweepCell> grid =
-      make_grid({inst.num_machines()}, {inst.alpha()}, seeds);
-
-  // Phase 1 is deterministic: place once, re-dispatch per realization.
-  const Placement placement = strategy.place(inst);
-  std::vector<double> makespans(grid.size(), 0.0);
-  ThreadPool pool(threads);
-  run_sweep_parallel(pool, grid, [&](const SweepCell& cell) {
-    const Realization actual = realize(inst, model, cell.seed);
-    const DispatchResult dispatched =
-        dispatch_with_rule(inst, placement, actual, strategy.rule());
-    makespans[cell.index] = dispatched.schedule.makespan();
-  });
-
-  Welford agg;
-  for (double v : makespans) agg.add(v);
-  TextTable table({"quantity", "value"});
-  table.add_row({"strategy", strategy.name()});
-  table.add_row({"noise", to_string(model)});
-  table.add_row({"trials", std::to_string(trials)});
-  table.add_row({"threads", std::to_string(pool.num_threads())});
-  table.add_row({"mean C_max", fmt(agg.mean(), 4)});
-  table.add_row({"stddev C_max", fmt(agg.stddev(), 4)});
-  table.add_row({"min C_max", fmt(agg.min(), 4)});
-  table.add_row({"max C_max", fmt(agg.max(), 4)});
-  std::cout << table.render();
-
-  const std::string json_path = args.get("json", std::string(""));
-  if (!json_path.empty()) {
-    ExperimentReport report("rdp-cli-sweep", "parallel makespan sweep");
-    report.set_param("strategy", strategy.name());
-    report.set_param("noise", to_string(model));
-    report.set_param("instance", in);
+  } else {
+    std::vector<std::uint64_t> seeds(trials);
+    for (std::size_t t = 0; t < trials; ++t) seeds[t] = seed + t;
+    const std::vector<SweepCell> grid =
+        make_grid({inst.num_machines()}, {inst.alpha()}, seeds);
+    // Phase 1 is deterministic: place once, re-dispatch per realization.
+    const Placement placement = strategy.place(inst);
+    std::vector<double> makespans(grid.size(), 0.0);
+    run_sweep_parallel(pool, grid, [&](const SweepCell& cell) {
+      const Realization actual = realize(inst, model, cell.seed);
+      const DispatchResult dispatched =
+          dispatch_with_rule(inst, placement, actual, strategy.rule());
+      makespans[cell.index] = dispatched.schedule.makespan();
+    });
+    Welford agg;
     Series& series = report.series("makespans", {"seed", "makespan"});
     for (const SweepCell& cell : grid) {
+      agg.add(makespans[cell.index]);
       series.add_row({static_cast<double>(cell.seed), makespans[cell.index]});
     }
-    if (obs::MetricsRegistry* mx = obs::metrics()) {
-      report.attach_metrics(mx->snapshot());
-    }
-    report.save_json(json_path);
-    std::cout << "JSON written to " << json_path << "\n";
+    table.add_row({"mean C_max", fmt(agg.mean(), 4)});
+    table.add_row({"stddev C_max", fmt(agg.stddev(), 4)});
+    table.add_row({"min C_max", fmt(agg.min(), 4)});
+    table.add_row({"max C_max", fmt(agg.max(), 4)});
   }
+  std::cout << table.render();
+  if (!json_path.empty()) save_report(report, args, json_path);
   return EXIT_SUCCESS;
 }
 
-void write_text_file(const std::string& path, const std::string& content);
-
-/// Strict numeric flag parsing for the serve command: Args::get(double)
-/// tolerates trailing junk ("4x" -> 4) and non-finite spellings ("nan",
-/// "inf"), and a negative --tasks would wrap through size_t into an
-/// absurd allocation inside the arrival generator (a runtime failure,
-/// exit 1). Flags that size or rate the workload are re-parsed from the
-/// raw string here so every rejection is an invalid_argument (usage
-/// error, exit 2) before anything reaches a generator.
-double serve_positive_flag(const Args& args, const std::string& key,
-                           double fallback) {
-  if (!args.has(key)) return fallback;
-  const std::string raw = args.get(key, std::string(""));
-  double value = 0;
-  std::size_t consumed = 0;
-  try {
-    value = std::stod(raw, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != raw.size() || !std::isfinite(value) || !(value > 0.0)) {
-    throw std::invalid_argument("serve: --" + key +
-                                " must be a positive finite number (got '" +
-                                raw + "')");
-  }
-  return value;
-}
-
-std::size_t serve_count_flag(const Args& args, const std::string& key,
-                             std::size_t fallback) {
-  if (!args.has(key)) return fallback;
-  const std::string raw = args.get(key, std::string(""));
-  long long value = 0;
-  std::size_t consumed = 0;
-  try {
-    value = std::stoll(raw, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != raw.size() || raw.empty() || value < 1) {
-    throw std::invalid_argument("serve: --" + key +
-                                " must be a positive integer (got '" + raw +
-                                "')");
-  }
-  return static_cast<std::size_t>(value);
+void write_text_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("perf: cannot open " + path);
+  out << content;
+  if (!out) throw std::runtime_error("perf: write failed for " + path);
 }
 
 /// Prints the SLO verdict: a totals table plus one row per violating
@@ -438,9 +382,7 @@ void print_slo_report(const SloSpec& spec, const SloReport& report) {
       break;
     }
     std::cout << "  violated [" << fmt(win.t0, 3) << ", " << fmt(win.t1, 3)
-              << "): response p50/p90/p99 = " << fmt(win.response.p50, 4)
-              << " / " << fmt(win.response.p90, 4) << " / "
-              << fmt(win.response.p99, 4)
+              << "): response p50/p90/p99 = " << quantiles(win.response)
               << ", backlog watermark = " << fmt(win.backlog_watermark, 0)
               << "\n";
   }
@@ -477,199 +419,160 @@ JsonValue slo_report_json(const SloSpec& spec, const SloReport& report) {
   return JsonValue(std::move(obj));
 }
 
-int cmd_serve(const Args& args) {
-  const ArrivalModel model =
-      arrival_model_from_name(args.get("arrivals", std::string("poisson")));
+int cmd_serve(Args& args, Session& session) {
+  const ArrivalModel model = arrival_model_from_name(
+      args.text("arrivals", "poisson", "arrival process: poisson|burst|trace"));
   const TwoPhaseStrategy strategy =
-      strategy_from_spec(args.get("strategy", std::string("ls-group:2")));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
+      strategy_from_spec(args.text("strategy", "ls-group:2", "strategy spec"));
+  const WorkloadFlags w = workload_flags(args, false);
+  const std::string slo_text =
+      args.text("slo", "", "p99=X,backlog=Y[,p50=,p90=,window=S,sustain=K]");
+  const std::string trace_path = args.text("trace", "", "trace CSV (--arrivals=trace)");
+  ArrivalParams params;
+  params.model = model;
+  params.rate = args.real("rate", 100.0, "mean arrival rate (tasks per sim s)", 0.0);
+  params.burst_boost = args.real("burst-boost", 4.0, "burst on-phase rate factor", 0.0);
+  params.burst_on = args.real("burst-on", 1.0, "mean burst on-phase (sim s)", 0.0);
+  params.burst_off = args.real("burst-off", 4.0, "mean burst off-phase (sim s)", 0.0);
+  const std::uint64_t seed = w.params.seed;
+  params.seed =
+      args.integer<std::uint64_t>("arrival-seed", seed + 1, 0, "arrival seed (--seed+1)");
+  const std::optional<double> duration =
+      args.maybe_real("duration", "arrivals for this many sim s, not --tasks", 0.0);
+  const auto tasks = args.integer<std::size_t>("tasks", 2000, 1, "number of arrivals");
+  const std::string instance_path = args.text("instance", "", "task-mix template CSV");
+  const NoiseModel noise = noise_from_name(args.text("noise", "uniform", "noise model"));
+  const bool adaptive = args.toggle("adaptive", "estimate alpha online and re-place");
+  AdaptiveServeOptions opts;
+  opts.epoch_tasks =
+      args.integer<std::size_t>("epoch", opts.epoch_tasks, 1, "tasks per epoch");
+  opts.drift_threshold =
+      args.real("drift", opts.drift_threshold, "re-place past this drift", 0.0);
+  auto& classes = opts.adapt.estimator.num_classes;
+  classes = args.integer<std::size_t>("classes", classes, 1, "estimator task classes");
+  const std::string json_path = args.text("json", "", "write a JSON report");
   // Parsed before any work so a malformed spec is a usage error (exit 2)
   // rather than a wasted run.
   std::optional<SloSpec> slo;
-  if (args.has("slo")) slo = parse_slo_spec(args.get("slo", std::string("")));
+  if (args.given("slo")) slo = parse_slo_spec(slo_text);
+  if (duration && args.given("tasks")) {
+    throw std::invalid_argument("serve: pass --duration or --tasks, not both");
+  }
+  if (model == ArrivalModel::kTrace && trace_path.empty()) {
+    throw std::invalid_argument("serve: --arrivals=trace requires --trace=FILE");
+  }
+  if (model == ArrivalModel::kBurst) {
+    const double feasible = (params.burst_on + params.burst_off) / params.burst_on;
+    if (params.burst_boost > feasible) {
+      throw std::invalid_argument(
+          "serve: --burst-boost=" + std::to_string(params.burst_boost) +
+          " is infeasible for MMPP-2 (must be <= (on+off)/on = " +
+          std::to_string(feasible) + ")");
+    }
+  }
+  if (!session.start(args)) return EXIT_SUCCESS;
 
   std::vector<Time> arrivals;
   std::optional<Instance> inst;
   Realization actual;
 
   if (model == ArrivalModel::kTrace) {
-    const std::string trace_path = args.get("trace", std::string(""));
-    if (trace_path.empty()) {
-      throw std::invalid_argument("serve: --arrivals=trace requires --trace=FILE");
-    }
     const Trace trace = load_trace(trace_path);
     arrivals = arrivals_from_trace(trace);
-    ReplayableWorkload workload = workload_from_trace(
-        trace, static_cast<MachineId>(args.get("m", std::int64_t{8})));
+    ReplayableWorkload workload = workload_from_trace(trace, w.params.num_machines);
     inst.emplace(std::move(workload.instance));
     actual = std::move(workload.actual);
   } else {
-    ArrivalParams params;
-    params.model = model;
-    params.rate = serve_positive_flag(args, "rate", 100.0);
-    params.burst_boost = serve_positive_flag(args, "burst-boost", 4.0);
-    params.burst_on = serve_positive_flag(args, "burst-on", 1.0);
-    params.burst_off = serve_positive_flag(args, "burst-off", 4.0);
-    if (model == ArrivalModel::kBurst) {
-      const double feasible =
-          (params.burst_on + params.burst_off) / params.burst_on;
-      if (params.burst_boost > feasible) {
-        throw std::invalid_argument(
-            "serve: --burst-boost=" + std::to_string(params.burst_boost) +
-            " is infeasible for MMPP-2 (must be <= (on+off)/on = " +
-            std::to_string(feasible) + ")");
-      }
-    }
-    params.seed = static_cast<std::uint64_t>(args.get(
-        "arrival-seed", static_cast<std::int64_t>(seed + 1)));
-    if (args.has("duration") && args.has("tasks")) {
-      throw std::invalid_argument("serve: pass --duration or --tasks, not both");
-    }
-    if (args.has("duration")) {
-      arrivals = generate_arrivals_until(
-          params, serve_positive_flag(args, "duration", 10.0));
+    if (duration) {
+      arrivals = generate_arrivals_until(params, *duration);
       if (arrivals.empty()) {
         throw std::invalid_argument(
             "serve: no arrivals inside --duration (raise --rate or --duration)");
       }
     } else {
-      arrivals = generate_arrivals(params, serve_count_flag(args, "tasks", 2000));
+      arrivals = generate_arrivals(params, tasks);
     }
-    const std::string instance_path = args.get("instance", std::string(""));
     if (!instance_path.empty()) {
       // A file instance acts as the task-mix template; it is cycled to
       // cover however many tasks the arrival process produced.
       inst.emplace(cycle_instance(load_instance(instance_path), arrivals.size()));
     } else {
-      inst.emplace(generate_instance(args, arrivals.size()));
+      WorkloadParams sized = w.params;
+      sized.num_tasks = arrivals.size();
+      inst.emplace(generate_instance(w.kind, sized));
     }
-    actual = realize(*inst, noise_from_name(args.get("noise", std::string("uniform"))),
-                     seed);
+    actual = realize(*inst, noise, seed);
   }
 
-  if (args.get("adaptive", false)) {
-    AdaptiveServeOptions opts;
-    opts.epoch_tasks = serve_count_flag(args, "epoch", opts.epoch_tasks);
-    opts.drift_threshold =
-        serve_positive_flag(args, "drift", opts.drift_threshold);
-    opts.adapt.estimator.num_classes =
-        serve_count_flag(args, "classes", opts.adapt.estimator.num_classes);
+  // The two modes differ only in how the schedule is produced and in the
+  // rows/fields they add; the report tail below is shared.
+  ServeReport report;
+  std::string strategy_name;
+  std::vector<std::pair<std::string, std::string>> mode_rows;
+  JsonObject obj;
+  if (adaptive) {
     const auto wall_start = std::chrono::steady_clock::now();
-    const AdaptiveServeResult result = serve_adaptive(*inst, actual, arrivals, opts);
-    const double wall_seconds =
+    AdaptiveServeResult result = serve_adaptive(*inst, actual, arrivals, opts);
+    report.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
             .count();
-    const ServeStats stats = compute_serve_stats(result.schedule, arrivals);
+    report.tasks = inst->num_tasks();
+    report.machines = inst->num_machines();
+    report.peak_backlog = result.peak_backlog;
+    report.stats = compute_serve_stats(result.schedule, arrivals);
+    report.horizon = report.stats.last_finish;
+    report.dispatched_per_sec =
+        report.wall_seconds > 0 ? static_cast<double>(report.tasks) / report.wall_seconds
+                                : 0;
+    report.schedule = std::move(result.schedule);
     MachineId min_degree = inst->num_machines();
     MachineId max_degree = 0;
     for (const AdaptiveEpoch& epoch : result.epochs) {
       min_degree = std::min(min_degree, epoch.min_degree);
       max_degree = std::max(max_degree, epoch.max_degree);
     }
-    TextTable table({"quantity", "value"});
-    table.add_row({"arrivals", arrival_model_name(model)});
-    table.add_row({"strategy", "adaptive-group"});
-    table.add_row({"tasks", std::to_string(inst->num_tasks())});
-    table.add_row({"machines", std::to_string(inst->num_machines())});
-    table.add_row({"epochs", std::to_string(result.epochs.size())});
-    table.add_row({"replans (drift)", std::to_string(result.replans)});
-    table.add_row({"final alpha-hat", fmt(result.final_alpha_hat, 4)});
-    table.add_row({"degree range",
-                   std::to_string(min_degree) + " .. " + std::to_string(max_degree)});
-    table.add_row({"peak backlog", std::to_string(result.peak_backlog)});
-    table.add_row({"horizon (sim s)", fmt(stats.last_finish, 3)});
-    table.add_row({"response p50/p90/p99",
-                   fmt(stats.response.p50, 4) + " / " +
-                       fmt(stats.response.p90, 4) + " / " +
-                       fmt(stats.response.p99, 4)});
-    table.add_row({"queue wait p50/p90/p99",
-                   fmt(stats.queue_wait.p50, 4) + " / " +
-                       fmt(stats.queue_wait.p90, 4) + " / " +
-                       fmt(stats.queue_wait.p99, 4)});
-    table.add_row({"mean response", fmt(stats.response.mean, 4)});
-    table.add_row({"wall seconds", fmt(wall_seconds, 4)});
-    std::cout << table.render();
-
-    std::optional<SloReport> slo_report;
-    if (slo) {
-      slo_report = evaluate_slo(result.schedule, arrivals, *slo);
-      print_slo_report(*slo, *slo_report);
-    }
-
-    const std::string json_path = args.get("json", std::string(""));
-    if (!json_path.empty()) {
-      JsonObject obj;
-      obj["arrivals"] = JsonValue(std::string(arrival_model_name(model)));
-      obj["strategy"] = JsonValue(std::string("adaptive-group"));
-      obj["tasks"] =
-          JsonValue(static_cast<unsigned long long>(inst->num_tasks()));
-      obj["machines"] =
-          JsonValue(static_cast<unsigned long long>(inst->num_machines()));
-      obj["peak_backlog"] =
-          JsonValue(static_cast<unsigned long long>(result.peak_backlog));
-      obj["horizon"] = JsonValue(stats.last_finish);
-      obj["makespan"] = JsonValue(result.makespan);
-      obj["wall_seconds"] = JsonValue(wall_seconds);
-      JsonObject adaptive;
-      adaptive["epochs"] =
-          JsonValue(static_cast<unsigned long long>(result.epochs.size()));
-      adaptive["replans"] =
-          JsonValue(static_cast<unsigned long long>(result.replans));
-      adaptive["final_alpha_hat"] = JsonValue(result.final_alpha_hat);
-      adaptive["min_degree"] =
-          JsonValue(static_cast<unsigned long long>(min_degree));
-      adaptive["max_degree"] =
-          JsonValue(static_cast<unsigned long long>(max_degree));
-      obj["adaptive"] = JsonValue(std::move(adaptive));
-      // Full histogram summaries (count/mean/stddev/min/max/sum plus the
-      // quantiles) -- the hand-picked four-field objects predating
-      // histogram_summary_json dropped everything downstream dashboards
-      // needed for weighting and rollups.
-      obj["response"] = obs::histogram_summary_json(stats.response);
-      obj["queue_wait"] = obs::histogram_summary_json(stats.queue_wait);
-      obj["service"] = obs::histogram_summary_json(stats.service);
-      if (slo_report) obj["slo"] = slo_report_json(*slo, *slo_report);
-      write_text_file(json_path, JsonValue(std::move(obj)).dump(2) + "\n");
-      std::cout << "JSON written to " << json_path << "\n";
-    }
-    if (slo_report && slo_report->sustained_violation) {
-      std::cout << "slo: sustained violation ("
-                << slo_report->max_consecutive_violations
-                << " consecutive windows)\n";
-      return EXIT_FAILURE;
-    }
-    return EXIT_SUCCESS;
+    strategy_name = "adaptive-group";
+    mode_rows = {{"epochs", std::to_string(result.epochs.size())},
+                 {"replans (drift)", std::to_string(result.replans)},
+                 {"final alpha-hat", fmt(result.final_alpha_hat, 4)},
+                 {"degree range",
+                  std::to_string(min_degree) + " .. " + std::to_string(max_degree)}};
+    obj["makespan"] = JsonValue(result.makespan);
+    JsonObject fields;
+    fields["epochs"] = JsonValue(static_cast<unsigned long long>(result.epochs.size()));
+    fields["replans"] = JsonValue(static_cast<unsigned long long>(result.replans));
+    fields["final_alpha_hat"] = JsonValue(result.final_alpha_hat);
+    fields["min_degree"] = JsonValue(static_cast<unsigned long long>(min_degree));
+    fields["max_degree"] = JsonValue(static_cast<unsigned long long>(max_degree));
+    obj["adaptive"] = JsonValue(std::move(fields));
+  } else {
+    const Placement placement = strategy.place(*inst);
+    const std::vector<TaskId> priority = make_priority(*inst, strategy.rule());
+    report = run_serve(*inst, placement, actual, priority, arrivals);
+    // Offered load over the arrival window (the horizon also counts the
+    // final drain, which would understate the rate).
+    const Time last_arrival =
+        arrivals.empty() ? Time{0} : *std::max_element(arrivals.begin(), arrivals.end());
+    const double offered =
+        last_arrival > 0 ? static_cast<double>(report.tasks) / last_arrival : 0;
+    strategy_name = strategy.name();
+    mode_rows = {{"offered rate (sim tasks/s)", fmt(offered, 2)}};
+    obj["offered_rate"] = JsonValue(offered);
   }
 
-  const Placement placement = strategy.place(*inst);
-  const std::vector<TaskId> priority = make_priority(*inst, strategy.rule());
-  const ServeReport report =
-      run_serve(*inst, placement, actual, priority, arrivals);
-
-  // Offered load over the arrival window (the horizon also counts the
-  // final drain, which would understate the rate).
-  const Time last_arrival =
-      arrivals.empty() ? Time{0} : *std::max_element(arrivals.begin(), arrivals.end());
-  const double offered =
-      last_arrival > 0 ? static_cast<double>(report.tasks) / last_arrival : 0;
+  const ServeStats& stats = report.stats;
   TextTable table({"quantity", "value"});
   table.add_row({"arrivals", arrival_model_name(model)});
-  table.add_row({"strategy", strategy.name()});
+  table.add_row({"strategy", strategy_name});
   table.add_row({"tasks", std::to_string(report.tasks)});
   table.add_row({"machines", std::to_string(report.machines)});
-  table.add_row({"offered rate (sim tasks/s)", fmt(offered, 2)});
+  for (const auto& [quantity, value] : mode_rows) table.add_row({quantity, value});
   table.add_row({"peak backlog", std::to_string(report.peak_backlog)});
   table.add_row({"horizon (sim s)", fmt(report.horizon, 3)});
-  table.add_row({"response p50/p90/p99",
-                 fmt(report.stats.response.p50, 4) + " / " +
-                     fmt(report.stats.response.p90, 4) + " / " +
-                     fmt(report.stats.response.p99, 4)});
-  table.add_row({"queue wait p50/p90/p99",
-                 fmt(report.stats.queue_wait.p50, 4) + " / " +
-                     fmt(report.stats.queue_wait.p90, 4) + " / " +
-                     fmt(report.stats.queue_wait.p99, 4)});
-  table.add_row({"mean response", fmt(report.stats.response.mean, 4)});
-  table.add_row({"mean service", fmt(report.stats.service.mean, 4)});
+  table.add_row({"response p50/p90/p99", quantiles(stats.response)});
+  table.add_row({"queue wait p50/p90/p99", quantiles(stats.queue_wait)});
+  table.add_row({"mean response", fmt(stats.response.mean, 4)});
+  table.add_row({"mean service", fmt(stats.service.mean, 4)});
   table.add_row({"wall seconds", fmt(report.wall_seconds, 4)});
   table.add_row({"dispatched tasks/sec (wall)", fmt(report.dispatched_per_sec, 0)});
   std::cout << table.render();
@@ -680,32 +583,29 @@ int cmd_serve(const Args& args) {
     print_slo_report(*slo, *slo_report);
   }
 
-  const std::string json_path = args.get("json", std::string(""));
   if (!json_path.empty()) {
-    JsonObject obj;
     obj["arrivals"] = JsonValue(std::string(arrival_model_name(model)));
-    obj["strategy"] = JsonValue(strategy.name());
+    obj["strategy"] = JsonValue(strategy_name);
     obj["tasks"] = JsonValue(static_cast<unsigned long long>(report.tasks));
     obj["machines"] = JsonValue(static_cast<unsigned long long>(report.machines));
-    obj["peak_backlog"] =
-        JsonValue(static_cast<unsigned long long>(report.peak_backlog));
+    obj["peak_backlog"] = JsonValue(static_cast<unsigned long long>(report.peak_backlog));
     obj["horizon"] = JsonValue(report.horizon);
-    obj["offered_rate"] = JsonValue(offered);
     obj["wall_seconds"] = JsonValue(report.wall_seconds);
     obj["dispatched_per_sec"] = JsonValue(report.dispatched_per_sec);
-    // Full summaries for every distribution (see the adaptive branch):
-    // the old hand-built objects omitted count/stddev/min/max/sum and,
-    // for service, even p50/p90.
-    obj["response"] = obs::histogram_summary_json(report.stats.response);
-    obj["queue_wait"] = obs::histogram_summary_json(report.stats.queue_wait);
-    obj["service"] = obs::histogram_summary_json(report.stats.service);
+    // Full histogram summaries (count/mean/stddev/min/max/sum plus the
+    // quantiles): downstream dashboards need them for weighting and rollups.
+    obj["response"] = obs::histogram_summary_json(stats.response);
+    obj["queue_wait"] = obs::histogram_summary_json(stats.queue_wait);
+    obj["service"] = obs::histogram_summary_json(stats.service);
     if (slo_report) obj["slo"] = slo_report_json(*slo, *slo_report);
+    JsonObject flags;
+    for (const auto& [name, value] : args.resolved()) flags["--" + name] = value;
+    obj["params"] = JsonValue(std::move(flags));
     write_text_file(json_path, JsonValue(std::move(obj)).dump(2) + "\n");
     std::cout << "JSON written to " << json_path << "\n";
   }
   if (slo_report && slo_report->sustained_violation) {
-    std::cout << "slo: sustained violation ("
-              << slo_report->max_consecutive_violations
+    std::cout << "slo: sustained violation (" << slo_report->max_consecutive_violations
               << " consecutive windows)\n";
     return EXIT_FAILURE;
   }
@@ -721,12 +621,12 @@ int cmd_serve(const Args& args) {
 /// order, and the parallel per-machine pass only writes its own machine's
 /// index-addressed slots over a CSR built sequentially -- no accumulation
 /// order depends on thread count (pinned by ctest obs_determinism).
-int cmd_obs(const Args& args) {
-  const std::string timeline_path = args.get("timeline", std::string(""));
-  if (timeline_path.empty()) {
-    throw std::invalid_argument("obs: --timeline=FILE is required");
-  }
-  const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+int cmd_obs(Args& args, Session& session) {
+  const std::string timeline_path = args.required("timeline", "flight recording (JSONL)");
+  const auto jobs = args.integer<std::size_t>("jobs", 0, 0, "workers (0: all cores)");
+  const std::string json_path = args.text("json", "", "write the analysis (JSON)");
+  const std::string chrome_path = args.text("chrome", "", "write a Chrome trace");
+  if (!session.start(args)) return EXIT_SUCCESS;
 
   obs::TimelineMeta meta;
   const std::vector<obs::TimelineEvent> events =
@@ -844,19 +744,11 @@ int cmd_obs(const Args& args) {
   const obs::HistogramSummary queue_wait = queue_wait_hist.summary();
   const obs::HistogramSummary service = service_hist.summary();
   const obs::HistogramSummary transfer = transfer_hist.summary();
-  table.add_row({"response p50/p90/p99", fmt(response.p50, 4) + " / " +
-                                             fmt(response.p90, 4) + " / " +
-                                             fmt(response.p99, 4)});
-  table.add_row({"queue wait p50/p90/p99", fmt(queue_wait.p50, 4) + " / " +
-                                               fmt(queue_wait.p90, 4) + " / " +
-                                               fmt(queue_wait.p99, 4)});
-  table.add_row({"service p50/p90/p99", fmt(service.p50, 4) + " / " +
-                                            fmt(service.p90, 4) + " / " +
-                                            fmt(service.p99, 4)});
+  table.add_row({"response p50/p90/p99", quantiles(response)});
+  table.add_row({"queue wait p50/p90/p99", quantiles(queue_wait)});
+  table.add_row({"service p50/p90/p99", quantiles(service)});
   if (transfer.count > 0) {
-    table.add_row({"transfer p50/p90/p99", fmt(transfer.p50, 4) + " / " +
-                                               fmt(transfer.p90, 4) + " / " +
-                                               fmt(transfer.p99, 4)});
+    table.add_row({"transfer p50/p90/p99", quantiles(transfer)});
   }
   table.add_row({"refetched tasks", std::to_string(refetched_tasks)});
   table.add_row({"machine failures", std::to_string(failures)});
@@ -871,7 +763,6 @@ int cmd_obs(const Args& args) {
   }
   std::cout << machines.render();
 
-  const std::string json_path = args.get("json", std::string(""));
   if (!json_path.empty()) {
     JsonObject obj;
     obj["timeline"] = JsonValue(timeline_path);
@@ -905,7 +796,6 @@ int cmd_obs(const Args& args) {
     std::cout << "JSON written to " << json_path << "\n";
   }
 
-  const std::string chrome_path = args.get("chrome", std::string(""));
   if (!chrome_path.empty()) {
     // Per-machine-lane Chrome trace over *simulated* time: tid = machine,
     // one 'X' span per task (ts/dur in microseconds of sim time), 'i'
@@ -955,23 +845,27 @@ int cmd_obs(const Args& args) {
   return EXIT_SUCCESS;
 }
 
-int cmd_evaluate(const Args& args) {
-  const std::string in = args.get("instance", std::string(""));
-  if (in.empty()) throw std::invalid_argument("evaluate: --instance is required");
+int cmd_evaluate(Args& args, Session& session) {
+  const std::string in = args.required("instance", "instance CSV");
+  const auto count = args.integer<std::size_t>("scenarios", 12, 1, "scenarios");
+  const auto seed = args.integer<std::uint64_t>("seed", 1, 0, "scenario seed");
+  const std::string kind =
+      args.text("scenario-kind", "mixed", "mixed|drifting|misreported");
+  const std::optional<double> alpha_to =
+      args.maybe_real("alpha-to", "drift target alpha (default: 2x instance alpha)");
+  const std::optional<double> true_alpha =
+      args.maybe_real("true-alpha", "true alpha (default: 2x instance alpha)");
+  if (!session.start(args)) return EXIT_SUCCESS;
   const Instance inst = load_instance(in);
-  const auto count =
-      static_cast<std::size_t>(args.get("scenarios", std::int64_t{12}));
-  const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const std::string kind = args.get("scenario-kind", std::string("mixed"));
   ScenarioSet scenarios;
   if (kind == "mixed") {
     scenarios = make_mixed_scenarios(inst, count, seed);
   } else if (kind == "drifting") {
     scenarios = make_drifting_scenarios(inst, count, seed, inst.alpha(),
-                                        args.get("alpha-to", 2.0 * inst.alpha()));
+                                        alpha_to.value_or(2.0 * inst.alpha()));
   } else if (kind == "misreported") {
     scenarios = make_misreported_scenarios(inst, count, seed,
-                                           args.get("true-alpha", 2.0 * inst.alpha()));
+                                           true_alpha.value_or(2.0 * inst.alpha()));
   } else {
     throw std::invalid_argument(
         "evaluate: --scenario-kind must be mixed, drifting, or misreported (got '" +
@@ -993,9 +887,10 @@ int cmd_evaluate(const Args& args) {
   return EXIT_SUCCESS;
 }
 
-int cmd_bounds(const Args& args) {
-  const auto m = static_cast<MachineId>(args.get("m", std::int64_t{8}));
-  const double alpha = args.get("alpha", 1.5);
+int cmd_bounds(Args& args, Session& session) {
+  const auto m = args.integer<MachineId>("m", 8, 1, "machines");
+  const double alpha = args.real("alpha", 1.5, "uncertainty factor alpha");
+  if (!session.start(args)) return EXIT_SUCCESS;
   TextTable table({"replication", "guarantee", "source"});
   table.add_row({"|M_j|=1 (lower bound)",
                  fmt(thm1_no_replication_lower_bound(alpha, m)), "Theorem 1"});
@@ -1012,8 +907,21 @@ int cmd_bounds(const Args& args) {
   return EXIT_SUCCESS;
 }
 
-int cmd_repro(const Args& args) {
-  if (args.get("list", false)) {
+int cmd_repro(Args& args, Session& session) {
+  const bool list = args.toggle("list", "list the artifacts and exit");
+  repro::ReproOptions options;
+  options.out_dir = args.text("out", "artifacts", "artifact directory");
+  options.results_path =
+      args.text("results", "docs/RESULTS.md", "RESULTS.md to write (empty: none)");
+  options.filter = args.text("filter", "", "artifact names, tags or kinds (comma list)");
+  options.jobs = args.integer<std::size_t>("jobs", 0, 0, "workers (0: all cores)");
+  options.seed = args.integer<std::uint64_t>("seed", 1, 0, "base seed");
+  options.node_budget =
+      args.integer<std::uint64_t>("budget", 400'000, 0, "exact-solver node budget");
+  options.force = args.toggle("force", "regenerate cached artifacts");
+  options.log = &std::cout;
+  if (!session.start(args)) return EXIT_SUCCESS;
+  if (list) {
     TextTable table({"artifact", "reproduces", "kind", "tags"});
     for (const repro::Artifact& artifact : repro::paper_artifacts()) {
       std::string tags;
@@ -1026,17 +934,6 @@ int cmd_repro(const Args& args) {
     std::cout << table.render();
     return EXIT_SUCCESS;
   }
-
-  repro::ReproOptions options;
-  options.out_dir = args.get("out", std::string("artifacts"));
-  options.results_path = args.get("results", std::string("docs/RESULTS.md"));
-  options.filter = args.get("filter", std::string(""));
-  options.jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
-  options.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  options.node_budget =
-      static_cast<std::uint64_t>(args.get("budget", std::int64_t{400'000}));
-  options.force = args.get("force", false);
-  options.log = &std::cout;
 
   const repro::ReproSummary summary = repro::run_repro(options);
 
@@ -1052,25 +949,22 @@ int cmd_repro(const Args& args) {
   return summary.violations == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
-int cmd_fuzz(const Args& args) {
+int cmd_fuzz(Args& args, Session& session) {
   check::FuzzOptions options;
-  options.seeds = static_cast<std::size_t>(args.get("seeds", std::int64_t{500}));
-  options.jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{1}));
-  options.start_seed =
-      static_cast<std::uint64_t>(args.get("start-seed", std::int64_t{1}));
-  options.gen.max_tasks =
-      static_cast<std::size_t>(args.get("max-n", std::int64_t{24}));
-  options.gen.max_machines =
-      static_cast<MachineId>(args.get("max-m", std::int64_t{6}));
-  options.shrink = !args.get("no-shrink", false);
+  options.seeds = args.integer<std::size_t>("seeds", 500, 1, "seeds to check");
+  options.jobs = args.integer<std::size_t>("jobs", 1, 0, "workers (0: all cores)");
+  options.start_seed = args.integer<std::uint64_t>("start-seed", 1, 0, "first seed");
+  options.gen.max_tasks = args.integer<std::size_t>("max-n", 24, 1, "max tasks per case");
+  options.gen.max_machines = args.integer<MachineId>("max-m", 6, 1, "max machines");
+  options.shrink = !args.toggle("no-shrink", "report failing cases unshrunk");
   options.gen.scenario = check::fuzz_scenario_from_name(
-      args.get("scenario", std::string("default")));
+      args.text("scenario", "default", "default|drifting-alpha"));
+  const std::string report_path = args.text("report", "", "write failures (JSONL)");
   options.log = &std::cout;
-  if (options.seeds == 0) throw std::invalid_argument("fuzz: --seeds must be >= 1");
+  if (!session.start(args)) return EXIT_SUCCESS;
 
   const check::FuzzSummary summary = check::run_fuzz(options);
 
-  const std::string report_path = args.get("report", std::string(""));
   if (!report_path.empty()) {
     check::save_jsonl_report(report_path, summary.failures);
     std::cout << "JSONL report (" << summary.failures.size()
@@ -1086,43 +980,47 @@ int cmd_fuzz(const Args& args) {
   return summary.failures.empty() ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
-std::vector<std::string> split_csv(const std::string& list) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string item = list.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) items.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
-void write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("perf: cannot open " + path);
-  out << content;
-  if (!out) throw std::runtime_error("perf: write failed for " + path);
-}
-
-perf::CompareOptions compare_options_from(const Args& args) {
+/// The verdict flags perf compare and perf gate share.
+struct VerdictFlags {
   perf::CompareOptions options;
-  options.timing_rel_tolerance =
-      args.get("rel-tol", options.timing_rel_tolerance);
-  options.mad_multiplier = args.get("mad-mult", options.mad_multiplier);
-  options.ignore_params = args.get("ignore-params", false);
-  return options;
-}
+  bool warn_only = false;
+  bool enforce_exact = false;
+  std::string json_path;
+
+  explicit VerdictFlags(Args& args) {
+    auto& o = options;
+    o.timing_rel_tolerance = args.real("rel-tol", o.timing_rel_tolerance, "timing slack");
+    o.mad_multiplier = args.real("mad-mult", o.mad_multiplier, "slack per baseline MAD");
+    o.ignore_params = args.toggle("ignore-params", "compare despite differing params");
+    warn_only = args.toggle("warn-only", "report regressions but exit 0");
+    enforce_exact = args.toggle("enforce-exact", "exact metrics fail even so");
+    json_path = args.text("json", "", "write the verdict (JSON)");
+  }
+
+  /// Regressions fail unless --warn-only; under --enforce-exact an
+  /// "exact"-noise-class regression fails even then.
+  int status(bool regressed, bool exact_regressed) const {
+    if (warn_only && enforce_exact && exact_regressed) {
+      std::cout << "enforce-exact: exact-noise-class metric regressed; "
+                   "failing despite --warn-only\n";
+      return EXIT_FAILURE;
+    }
+    if (regressed && warn_only) {
+      std::cout << "warn-only: regression reported but exiting 0\n";
+    }
+    return regressed && !warn_only ? EXIT_FAILURE : EXIT_SUCCESS;
+  }
+};
 
 /// `perf record`: normalize raw bench JSON (min-of-k over several files)
 /// into a committed baseline record.
-int cmd_perf_record(const Args& args) {
-  std::vector<std::string> inputs = split_csv(args.get("in", std::string("")));
-  // Files may also be given as positionals after `record`.
-  const std::vector<std::string>& pos = args.positionals();
-  inputs.insert(inputs.end(), pos.begin() + 1, pos.end());
+int cmd_perf_record(Args& args, Session& session) {
+  std::vector<std::string> inputs = args.texts("in", "", "bench JSON files");
+  const std::string name = args.text("name", "", "record name (default: the bench's)");
+  std::string out = args.text("out", "", "output (default: bench/baselines/NAME.json)");
+  const std::vector<std::string> pos = args.positionals("FILE", "more bench JSON files");
+  inputs.insert(inputs.end(), pos.begin(), pos.end());
+  if (!session.start(args)) return EXIT_SUCCESS;
   if (inputs.empty()) {
     throw std::invalid_argument(
         "perf record: --in=FILE[,FILE...] is required (repeats of the same "
@@ -1132,12 +1030,11 @@ int cmd_perf_record(const Args& args) {
   runs.reserve(inputs.size());
   for (const std::string& path : inputs) runs.push_back(perf::load_bench_file(path));
   perf::BenchRecord record = perf::merge_repeats(runs);
-  if (args.has("name")) record.name = args.get("name", record.name);
+  if (args.given("name")) record.name = name;
   record.git_sha = repro::read_git_sha(".");
   record.host = perf::host_fingerprint();
 
-  const std::string out =
-      args.get("out", "bench/baselines/" + record.name + ".json");
+  if (!args.given("out")) out = "bench/baselines/" + record.name + ".json";
   std::filesystem::path parent = std::filesystem::path(out).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent);
   record.save(out);
@@ -1149,35 +1046,22 @@ int cmd_perf_record(const Args& args) {
 }
 
 /// `perf compare`: diff one fresh run against one baseline.
-int cmd_perf_compare(const Args& args) {
-  const std::string baseline_path = args.get("baseline", std::string(""));
-  const std::string current_path = args.get("current", std::string(""));
-  if (baseline_path.empty() || current_path.empty()) {
-    throw std::invalid_argument(
-        "perf compare: --baseline=FILE and --current=FILE are required");
-  }
+int cmd_perf_compare(Args& args, Session& session) {
+  const std::string baseline_path = args.required("baseline", "baseline record");
+  const std::string current_path = args.required("current", "fresh bench JSON");
+  const VerdictFlags flags(args);
+  if (!session.start(args)) return EXIT_SUCCESS;
   const perf::BenchRecord baseline = perf::load_bench_file(baseline_path);
   const perf::BenchRecord current = perf::load_bench_file(current_path);
   const perf::CompareResult result =
-      perf::compare_records(baseline, current, compare_options_from(args));
+      perf::compare_records(baseline, current, flags.options);
 
   std::cout << result.render_table();
-  const std::string json_path = args.get("json", std::string(""));
-  if (!json_path.empty()) {
-    write_text_file(json_path, result.to_json().dump(2) + "\n");
-    std::cout << "verdict written to " << json_path << "\n";
+  if (!flags.json_path.empty()) {
+    write_text_file(flags.json_path, result.to_json().dump(2) + "\n");
+    std::cout << "verdict written to " << flags.json_path << "\n";
   }
-  const bool warn_only = args.get("warn-only", false);
-  const bool enforce_exact = args.get("enforce-exact", false);
-  if (warn_only && enforce_exact && result.exact_regressed()) {
-    std::cout << "enforce-exact: exact-noise-class metric regressed; "
-                 "failing despite --warn-only\n";
-    return EXIT_FAILURE;
-  }
-  if (result.regressed() && warn_only) {
-    std::cout << "warn-only: regression reported but exiting 0\n";
-  }
-  return result.regressed() && !warn_only ? EXIT_FAILURE : EXIT_SUCCESS;
+  return flags.status(result.regressed(), result.exact_regressed());
 }
 
 /// `perf gate`: compare every committed baseline against the matching
@@ -1189,13 +1073,12 @@ int cmd_perf_compare(const Args& args) {
 /// bit-mismatch counters -- deterministic by contract) enforcing under
 /// --warn-only, so shared-runner timing noise is tolerated but a
 /// determinism or algorithmic-shape change still fails the gate.
-int cmd_perf_gate(const Args& args) {
+int cmd_perf_gate(Args& args, Session& session) {
   const std::string baselines_dir =
-      args.get("baselines", std::string("bench/baselines"));
-  const std::string current_dir = args.get("current-dir", std::string("."));
-  const bool warn_only = args.get("warn-only", false);
-  const bool enforce_exact = args.get("enforce-exact", false);
-  const perf::CompareOptions options = compare_options_from(args);
+      args.text("baselines", "bench/baselines", "committed baseline directory");
+  const std::string current_dir = args.text("current-dir", ".", "fresh bench JSON dir");
+  const VerdictFlags flags(args);
+  if (!session.start(args)) return EXIT_SUCCESS;
 
   std::vector<std::string> baseline_files;
   if (!std::filesystem::is_directory(baselines_dir)) {
@@ -1235,7 +1118,7 @@ int cmd_perf_gate(const Args& args) {
     const perf::BenchRecord current =
         perf::load_bench_file(current_path.string());
     const perf::CompareResult result =
-        perf::compare_records(baseline, current, options);
+        perf::compare_records(baseline, current, flags.options);
     std::cout << result.render_table() << "\n";
     results.emplace_back(result.to_json());
     any_regressed = any_regressed || result.regressed();
@@ -1246,140 +1129,84 @@ int cmd_perf_gate(const Args& args) {
   verdict["regressed"] = any_regressed;
   verdict["exact_regressed"] = any_exact_regressed;
   verdict["errors"] = any_error;
-  verdict["warn_only"] = warn_only;
-  verdict["enforce_exact"] = enforce_exact;
+  verdict["warn_only"] = flags.warn_only;
+  verdict["enforce_exact"] = flags.enforce_exact;
   verdict["results"] = std::move(results);
-  const std::string json_path = args.get("json", std::string(""));
-  if (!json_path.empty()) {
-    write_text_file(json_path, JsonValue(std::move(verdict)).dump(2) + "\n");
-    std::cout << "verdict written to " << json_path << "\n";
+  if (!flags.json_path.empty()) {
+    write_text_file(flags.json_path, JsonValue(std::move(verdict)).dump(2) + "\n");
+    std::cout << "verdict written to " << flags.json_path << "\n";
   }
-
   if (any_error) return EXIT_FAILURE;  // schema/coverage errors always fail
-  if (warn_only && enforce_exact && any_exact_regressed) {
-    std::cout << "enforce-exact: exact-noise-class metric regressed; "
-                 "failing despite --warn-only\n";
-    return EXIT_FAILURE;
-  }
-  if (any_regressed && warn_only) {
-    std::cout << "warn-only: regression reported but exiting 0\n";
-    return EXIT_SUCCESS;
-  }
-  return any_regressed ? EXIT_FAILURE : EXIT_SUCCESS;
+  return flags.status(any_regressed, any_exact_regressed);
 }
 
-int cmd_perf(const Args& args) {
-  if (args.positionals().empty()) {
-    throw std::invalid_argument(
-        "perf: expected an action: perf <record|compare|gate> [--flags]");
+struct Command {
+  const char* name;
+  int (*run)(Args&, Session&);
+  const char* summary;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", cmd_generate, "write a synthetic instance CSV"},
+    {"realize", cmd_realize, "draw actual processing times into a trace CSV"},
+    {"run", cmd_run, "run one strategy on one realization"},
+    {"serve", cmd_serve, "streaming dispatch under continuous arrivals, with SLOs"},
+    {"obs", cmd_obs, "latency attribution and utilization from a flight recording"},
+    {"evaluate", cmd_evaluate, "compare the strategy family across scenarios"},
+    {"sweep", cmd_sweep, "parallel makespan or certified-ratio sweep"},
+    {"bounds", cmd_bounds, "the paper's guarantees for m and alpha"},
+    {"repro", cmd_repro, "regenerate the paper's tables, figures and checks"},
+    {"fuzz", cmd_fuzz, "differential fuzzing of the dispatchers"},
+    {"perf record", cmd_perf_record, "normalize bench JSON into a baseline record"},
+    {"perf compare", cmd_perf_compare, "diff one fresh run against one baseline"},
+    {"perf gate", cmd_perf_gate, "diff every committed baseline (bench/baselines/)"},
+};
+
+int usage(const char* program) {
+  std::cerr << "usage: " << program << " <command> [--flag=VALUE ...]\n\ncommands:\n";
+  for (const Command& command : kCommands) {
+    const std::string name = command.name;
+    std::cerr << "  " << name << std::string(14 - name.size(), ' ') << command.summary
+              << "\n";
   }
-  const std::string& action = args.positionals().front();
-  if (action == "record") return cmd_perf_record(args);
-  if (action == "compare") return cmd_perf_compare(args);
-  if (action == "gate") return cmd_perf_gate(args);
-  throw std::invalid_argument("perf: unknown action '" + action +
-                              "' (expected record, compare, or gate)");
+  std::cerr << "\n'" << program
+            << " <command> --help' lists a command's flags, global ones included.\n"
+               "\nworkload kinds: uniform heavy-tailed bimodal lognormal correlated"
+               " anti-correlated independent unit profile:NAME\nstrategies:";
+  for (const std::string& spec : known_strategy_specs()) std::cerr << ' ' << spec;
+  std::cerr << "\nnoise models:";
+  for (NoiseModel model : all_noise_models()) std::cerr << ' ' << to_string(model);
+  std::cerr << "\n";
+  return kExitUsage;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
-  const std::string command = argv[1];
-  const Args args(argc - 1, argv + 1);
+  // `perf` takes its action as a second word: `rdp_cli perf gate ...`.
+  const int words = std::string(argv[1]) == "perf" && argc > 2 ? 2 : 1;
+  std::string name = argv[1];
+  if (words == 2) name += std::string(" ") + argv[2];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands) {
+    if (name == c.name) command = &c;
+  }
+  if (command == nullptr) {
+    std::cerr << "unknown command '" << name << "'\n";
+    return usage(argv[0]);
+  }
   try {
-    // Optional observability sinks, shared by every command. --sample-out
-    // needs a registry to sample, so it implies one even without
-    // --metrics-out (the snapshot is then only written to the time series).
-    const std::string metrics_path = args.get("metrics-out", std::string(""));
-    const std::string trace_path = args.get("trace-out", std::string(""));
-    const std::string sample_path = args.get("sample-out", std::string(""));
-    const std::string timeline_path = args.get("timeline-out", std::string(""));
-    std::unique_ptr<obs::MetricsRegistry> registry;
-    std::unique_ptr<obs::Tracer> tracer;
-    if (!metrics_path.empty() || !sample_path.empty()) {
-      registry = std::make_unique<obs::MetricsRegistry>();
-    }
-    if (!trace_path.empty()) tracer = std::make_unique<obs::Tracer>();
-    std::unique_ptr<obs::TimelineRecorder> timeline;
-    if (!timeline_path.empty()) {
-      const auto capacity = static_cast<std::size_t>(args.get(
-          "timeline-capacity",
-          static_cast<std::int64_t>(obs::TimelineRecorder::kDefaultCapacity)));
-      timeline = std::make_unique<obs::TimelineRecorder>(capacity);
-    }
-    obs::ObservabilityScope scope(registry.get(), tracer.get());
-    obs::TimelineScope timeline_scope(timeline.get());
-    // Constructed after the scope so it samples the installed registry and
-    // is stopped (final sample + flush) before the scope unwinds.
-    std::unique_ptr<obs::RunSampler> sampler;
-    if (!sample_path.empty()) {
-      obs::RunSamplerOptions sampler_options;
-      sampler_options.path = sample_path;
-      sampler_options.period = std::chrono::milliseconds(
-          args.get("sample-period", std::int64_t{1000}));
-      sampler = std::make_unique<obs::RunSampler>(nullptr, sampler_options);
-    }
-    if (args.get("debug-checks", false)) check::set_debug_checks(true);
-
-    int status = EXIT_FAILURE;
-    if (command == "generate") {
-      status = cmd_generate(args);
-    } else if (command == "realize") {
-      status = cmd_realize(args);
-    } else if (command == "run") {
-      status = cmd_run(args);
-    } else if (command == "serve") {
-      status = cmd_serve(args);
-    } else if (command == "obs") {
-      status = cmd_obs(args);
-    } else if (command == "evaluate") {
-      status = cmd_evaluate(args);
-    } else if (command == "sweep") {
-      status = cmd_sweep(args);
-    } else if (command == "bounds") {
-      status = cmd_bounds(args);
-    } else if (command == "repro") {
-      status = cmd_repro(args);
-    } else if (command == "fuzz") {
-      status = cmd_fuzz(args);
-    } else if (command == "perf") {
-      status = cmd_perf(args);
-    } else {
-      std::cerr << "unknown command '" << command << "'\n";
-      return usage(argv[0]);
-    }
-
-    if (sampler) {
-      sampler->stop();
-      std::cout << sampler->samples() << " sample(s) written to "
-                << sample_path << "\n";
-    }
-    if (timeline) {
-      timeline->save(timeline_path);
-      std::cout << timeline->size() << " timeline event(s) written to "
-                << timeline_path;
-      if (timeline->dropped() > 0) {
-        std::cout << " (" << timeline->dropped() << " dropped at capacity "
-                  << timeline->capacity() << ")";
-      }
-      std::cout << "\n";
-    }
-    if (registry && !metrics_path.empty()) {
-      registry->save_json(metrics_path);
-      std::cout << "metrics written to " << metrics_path << "\n";
-    }
-    if (tracer) {
-      tracer->save(trace_path);
-      std::cout << "trace written to " << trace_path << "\n";
-    }
+    Args args(argc - words, argv + words, std::string(argv[0]) + " " + name);
+    Session session;
+    const int status = command->run(args, session);
+    session.save();
     return status;
   } catch (const std::invalid_argument& error) {
     // Bad or missing flag values from any subcommand surface here: one
     // consistent message, a usage pointer, and the usage exit code.
     std::cerr << "error: " << error.what() << "\n"
-              << "run '" << argv[0]
-              << "' without arguments for the full command list\n";
+              << "run '" << argv[0] << " " << name << " --help' for its flags\n";
     return kExitUsage;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
