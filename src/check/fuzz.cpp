@@ -730,11 +730,28 @@ std::string diff_traces(const DispatchTrace& a, const DispatchTrace& b) {
   return {};
 }
 
+/// The disjoint group regime of LS-Group: g | m contiguous machine
+/// groups (g drawn among the divisors of m), each task on a random group.
+/// Every machine serves exactly one replica set, which the case's random
+/// sets (degree uniform in [1, m]) essentially never produce.
+Placement fuzz_group_placement(const FuzzCase& c, Xoshiro256& rng) {
+  const MachineId m = c.instance.num_machines();
+  std::vector<MachineId> divisors;
+  for (MachineId g = 1; g <= m; ++g) {
+    if (m % g == 0) divisors.push_back(g);
+  }
+  const MachineId g = divisors[rng.next_below(divisors.size())];
+  std::vector<MachineId> group_of(c.instance.num_tasks());
+  for (MachineId& k : group_of) k = static_cast<MachineId>(rng.next_below(g));
+  return Placement::in_groups(group_of, g, m);
+}
+
 void check_serve_stream_differential(const CheckContext& ctx) {
   // The streaming dispatcher against its naive event-by-event oracle on
   // real staggered arrivals -- Poisson, MMPP-2 bursts, equal-time ties,
   // an unsorted vector -- and in drain mode (every arrival at t = 0),
-  // each with and without per-machine speeds and busy-until times.
+  // each with and without per-machine speeds and busy-until times, on
+  // the case's random replica sets and on a disjoint group placement.
   // Schedule, trace and peak backlog must be bit-identical, and the
   // schedule must respect release times and priority among arrived
   // tasks. Drain mode is also held to the pre-rewrite offline dispatcher:
@@ -744,58 +761,67 @@ void check_serve_stream_differential(const CheckContext& ctx) {
   Xoshiro256 rng(c.seed ^ 0x57AE57AE57AE57AEULL);
   std::vector<Time> busy_until(c.instance.num_machines());
   for (Time& t : busy_until) t = sample_uniform(rng, 0.0, 2.0 * mean_service(c));
+  // The group runs draw from their own stream, so the random-set runs
+  // replay exactly as before they were added.
+  Xoshiro256 group_rng(c.seed ^ 0x6C5A6C5A6C5A6C5AULL);
+  const Placement groups = fuzz_group_placement(c, group_rng);
 
   const char* regimes[] = {"drain", "poisson", "burst", "ties", "unsorted"};
-  for (const char* regime : regimes) {
-    const std::string name = regime;
-    const std::vector<Time> arrivals =
-        name == "drain" ? std::vector<Time>(n, Time{0}) : fuzz_arrivals(name, c, rng);
-    for (int variant = 0; variant < 4; ++variant) {
-      const std::vector<double> speeds =
-          (variant & 1) != 0 ? c.speeds : std::vector<double>{};
-      const std::vector<Time> ready =
-          (variant & 2) != 0 ? busy_until : std::vector<Time>{};
-      const std::string where = name + " arrivals" +
-                                (speeds.empty() ? "" : ", speeds") +
-                                (ready.empty() ? "" : ", initial_ready") + ": ";
-      const StreamingDispatchResult got = serve_stream(
-          c.instance, c.placement, c.actual, c.priority, arrivals, ready, speeds);
-      const StreamingDispatchResult want = reference_serve_stream(
-          c.instance, c.placement, c.actual, c.priority, arrivals, ready, speeds);
-      std::string diff = diff_schedules(got.schedule, want.schedule);
-      if (diff.empty()) diff = diff_traces(got.trace, want.trace);
-      if (diff.empty() && got.peak_backlog != want.peak_backlog) {
-        diff = "peak backlog " + std::to_string(got.peak_backlog) + " vs " +
-               std::to_string(want.peak_backlog);
-      }
-      if (diff.empty() && name == "drain") {
-        const DispatchResult offline = reference_dispatch_online(
-            c.instance, c.placement, c.actual, c.priority, ready, speeds);
-        diff = diff_schedules(got.schedule, offline.schedule);
-        if (diff.empty()) diff = diff_traces(got.trace, offline.trace);
-        if (diff.empty() && got.peak_backlog != n) {
-          diff = "drain-mode peak backlog " + std::to_string(got.peak_backlog) +
-                 " != n";
+  for (const bool grouped : {false, true}) {
+    const Placement& placement = grouped ? groups : c.placement;
+    Xoshiro256& arrival_rng = grouped ? group_rng : rng;
+    for (const char* regime : regimes) {
+      const std::string name = regime;
+      const std::vector<Time> arrivals =
+          name == "drain" ? std::vector<Time>(n, Time{0})
+                          : fuzz_arrivals(name, c, arrival_rng);
+      for (int variant = 0; variant < 4; ++variant) {
+        const std::vector<double> speeds =
+            (variant & 1) != 0 ? c.speeds : std::vector<double>{};
+        const std::vector<Time> ready =
+            (variant & 2) != 0 ? busy_until : std::vector<Time>{};
+        const std::string where = (grouped ? "group placement, " : "") + name +
+                                  " arrivals" + (speeds.empty() ? "" : ", speeds") +
+                                  (ready.empty() ? "" : ", initial_ready") + ": ";
+        const StreamingDispatchResult got = serve_stream(
+            c.instance, placement, c.actual, c.priority, arrivals, ready, speeds);
+        const StreamingDispatchResult want = reference_serve_stream(
+            c.instance, placement, c.actual, c.priority, arrivals, ready, speeds);
+        std::string diff = diff_schedules(got.schedule, want.schedule);
+        if (diff.empty()) diff = diff_traces(got.trace, want.trace);
+        if (diff.empty() && got.peak_backlog != want.peak_backlog) {
+          diff = "peak backlog " + std::to_string(got.peak_backlog) + " vs " +
+                 std::to_string(want.peak_backlog);
         }
-        if (!diff.empty()) diff = "vs offline reference: " + diff;
-      }
-      if (!diff.empty()) {
-        ctx.fail("serve-stream-differential", where + diff);
-        return;
-      }
-      InvariantOptions options;
-      options.speeds = speeds;
-      options.arrivals = arrivals;
-      std::vector<Violation> violations = check_invariants(
-          c.instance, c.placement, c.actual, got.schedule, options);
-      const auto priority_violations = check_priority_compliance(
-          c.instance, c.placement, got.schedule, c.priority, arrivals);
-      violations.insert(violations.end(), priority_violations.begin(),
-                        priority_violations.end());
-      if (!violations.empty()) {
-        ctx.fail("serve-stream-differential",
-                 where + to_string(violations.front()));
-        return;
+        if (diff.empty() && name == "drain") {
+          const DispatchResult offline = reference_dispatch_online(
+              c.instance, placement, c.actual, c.priority, ready, speeds);
+          diff = diff_schedules(got.schedule, offline.schedule);
+          if (diff.empty()) diff = diff_traces(got.trace, offline.trace);
+          if (diff.empty() && got.peak_backlog != n) {
+            diff = "drain-mode peak backlog " + std::to_string(got.peak_backlog) +
+                   " != n";
+          }
+          if (!diff.empty()) diff = "vs offline reference: " + diff;
+        }
+        if (!diff.empty()) {
+          ctx.fail("serve-stream-differential", where + diff);
+          return;
+        }
+        InvariantOptions options;
+        options.speeds = speeds;
+        options.arrivals = arrivals;
+        std::vector<Violation> violations = check_invariants(
+            c.instance, placement, c.actual, got.schedule, options);
+        const auto priority_violations = check_priority_compliance(
+            c.instance, placement, got.schedule, c.priority, arrivals);
+        violations.insert(violations.end(), priority_violations.begin(),
+                          priority_violations.end());
+        if (!violations.empty()) {
+          ctx.fail("serve-stream-differential",
+                   where + to_string(violations.front()));
+          return;
+        }
       }
     }
   }

@@ -58,6 +58,7 @@ StreamingDispatchResult serve_stream(const Instance& instance,
 
 ServeStats compute_serve_stats(const Schedule& schedule,
                                std::span<const Time> arrivals) {
+  obs::ScopedSpan span(obs::tracer(), "serve.stats", "serve");
   const std::size_t n = schedule.num_tasks();
   if (arrivals.size() != n) {
     throw std::invalid_argument("compute_serve_stats: arrivals size mismatch");

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/instance.hpp"
@@ -277,12 +278,27 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
   std::span<TaskId> order;  ///< admission order (time, id); empty = id order
   /// 1 while the machine is out of the pool, idle with no admitted work
   /// but more arrivals possible on its queues; an admission to one of
-  /// those queues re-inserts it ready at the arrival time.
+  /// those queues may re-insert it ready at the arrival time (see wake).
   std::span<std::uint8_t> parked;
+  /// Queue a woken machine was woken for, ~0u once it has dispatched.
+  std::span<std::uint32_t> woken_for;
+  /// CSR of each queue's members (its replica set, ascending id), the
+  /// transpose of machine_queues.
+  std::span<std::uint32_t> member_begin;
+  std::span<MachineId> members;
   if (!cohort) {
     bitmaps = QueueBitmaps::build(arena, placement);
     tail_pos = arena.allocate_span<std::uint32_t>(n);
     parked = arena.make_span<std::uint8_t>(m, 0);
+    woken_for = arena.make_span<std::uint32_t>(m, UINT32_MAX);
+    member_begin = arena.allocate_span<std::uint32_t>(num_queues + 1);
+    members = arena.allocate_span<MachineId>(machine_begin[m]);
+    member_begin[0] = 0;
+    for (std::uint32_t q = 0; q < num_queues; ++q) {
+      const std::vector<MachineId>& set = placement.distinct_set(q);
+      std::copy(set.begin(), set.end(), members.begin() + member_begin[q]);
+      member_begin[q + 1] = member_begin[q] + static_cast<std::uint32_t>(set.size());
+    }
     if (!arrivals_sorted) {
       order = arena.allocate_span<TaskId>(n);
       std::iota(order.begin(), order.end(), TaskId{0});
@@ -372,14 +388,67 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
     const std::uint32_t slot = bitmaps.min_slot[q];
     return slot == UINT32_MAX ? UINT32_MAX : queue_begin[q] + slot;
   };
+  // Records machine i starting task j, of realized time `work`, at time
+  // `start`; returns the task's duration on i.
+  const auto record_start = [&](MachineId i, TaskId j, Time work, Time start) {
+    const Time duration = speeds.empty() ? work : work / speeds[i];
+    trace_out[emitted++] = DispatchEvent{start, j, i, duration};
+    --remaining;
+    return duration;
+  };
   // Runs the task at CSR position `pos` on machine i, the pool's top.
   const auto run_top = [&](MachineId i, std::uint32_t pos) {
-    const Time duration =
-        speeds.empty() ? queue_durations[pos] : queue_durations[pos] / speeds[i];
-    const Time start = pool.occupy_top(duration).first;
-    trace_out[emitted++] = DispatchEvent{start, queue_tasks[pos], i, duration};
+    pool.occupy_top(record_start(i, queue_tasks[pos], queue_durations[pos],
+                                 pool.top_ready()));
     --backlog;
-    --remaining;
+  };
+
+  // Wake one. An admission to queue q at time t re-inserts only the
+  // lowest-id parked member of q, ready at t. Waking every parked member
+  // would change nothing: all of them would pop at t in id order, the
+  // lowest would take the task, and the rest would find every queue they
+  // serve empty and park again. The one exception is a woken machine
+  // that serves a second queue holding a better-ranked task: it takes
+  // that instead (see hand_off). Each admission wakes one more member, so
+  // a queue with k new tasks has its k lowest parked members in the pool.
+  std::uint32_t woken_pending = 0;  ///< machines with woken_for set
+  const auto lowest_parked = [&](std::uint32_t q) {
+    for (std::uint32_t k = member_begin[q]; k < member_begin[q + 1]; ++k) {
+      if (parked[members[k]] != 0) return members[k];
+    }
+    return kNoMachine;
+  };
+  const auto unpark = [&](MachineId i) {
+    parked[i] = 0;
+    --parked_count;
+  };
+  const auto wake = [&](MachineId i, std::uint32_t q, Time t) {
+    unpark(i);
+    woken_for[i] = q;
+    ++woken_pending;
+    pool.push(t, i);
+  };
+  // Hand-off. Machine i, the pool's top at time t, has picked queue
+  // `took` (~0u: nothing). If it was woken for another queue that still
+  // holds admitted tasks, the wake passes to that queue's next parked
+  // member at t, which waking all would have let take the task. Its id
+  // exceeds i's (wakes go lowest id first), so it pops after i at t,
+  // exactly where it would have popped had it been woken at admission.
+  const auto hand_off = [&](MachineId i, std::uint32_t took, Time t,
+                            const auto& front) {
+    const std::uint32_t w = woken_for[i];
+    if (w == UINT32_MAX) return;
+    woken_for[i] = UINT32_MAX;
+    --woken_pending;
+    if (took == w || front(w) == UINT32_MAX) return;
+    const MachineId next = lowest_parked(w);
+    if (next != kNoMachine) wake(next, w, t);
+  };
+  // True when a machine ready at (t, i) would leave the pool before
+  // every machine now in it.
+  const auto precedes_pool = [&](Time t, MachineId i) {
+    return pool.empty() || pool.top_ready() > t ||
+           (pool.top_ready() == t && pool.top() > i);
   };
 
   while (remaining > 0) {
@@ -390,32 +459,47 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
     Time next_free = pool.empty() ? kNever : pool.top_ready();
     if (cursor < n && next_when <= next_free) {
       const std::size_t burst_start = cursor;
+      bool started_directly = false;
       do {
         const TaskId j = next_task;
+        const Time t = next_when;
         const std::uint64_t qs = queue_slot_of[j];
         const auto q = static_cast<std::uint32_t>(qs >> 32);
-        bitmaps.set(q, static_cast<std::uint32_t>(qs));
-        if (parked_count > 0) {
-          for (MachineId i : placement.distinct_set(q)) {
-            if (parked[i]) {
-              parked[i] = 0;
-              --parked_count;
-              pool.push(next_when, i);
-            }
-          }
-          // A woken machine may now free before later arrivals in this
-          // batch; re-read the horizon so it dispatches in between.
-          next_free = pool.empty() ? kNever : pool.top_ready();
-        }
+        const auto slot = static_cast<std::uint32_t>(qs);
         if (++cursor >= n) {
           next_when = kNever;
+        } else {
+          next_task = order.empty() ? static_cast<TaskId>(cursor) : order[cursor];
+          next_when = arrivals[next_task];
+        }
+        const MachineId p = parked_count > 0 ? lowest_parked(q) : kNoMachine;
+        if (p != kNoMachine && next_when > t && precedes_pool(t, p)) {
+          // Direct start. With no other arrival at t, the machine woken
+          // here would be the next to leave the pool, and it would take
+          // this task: p parked with every queue it serves empty, and an
+          // earlier admission at t to any of them would have woken p or
+          // a lower id. So start the task now -- one push at its finish
+          // time instead of a push at t, a pop and an admission bit. The
+          // burst ends here, as it would after a wake, so the backlog
+          // peak counts the task exactly as the two-phase order does. The
+          // realized time is read by task id, in arrival order, rather
+          // than at the task's scattered queue position.
+          unpark(p);
+          pool.push(t + record_start(p, j, actual.actual[j], t), p);
+          started_directly = true;
           break;
         }
-        next_task = order.empty() ? static_cast<TaskId>(cursor) : order[cursor];
-        next_when = arrivals[next_task];
-      } while (next_when <= next_free);
+        bitmaps.set(q, slot);
+        if (p != kNoMachine) {
+          wake(p, q, t);
+          // A woken machine may now free before later arrivals in this
+          // batch; re-read the horizon so it dispatches in between.
+          next_free = t;
+        }
+      } while (cursor < n && next_when <= next_free);
       backlog += cursor - burst_start;
       peak_backlog = std::max(peak_backlog, backlog);
+      if (started_directly) --backlog;
     }
     if (!tail_mode && cursor >= n) {
       // Stream exhausted: freeze the admitted set. Every pop from here
@@ -453,27 +537,35 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
     if (tail_mode) {
       // Frozen tail: the stream is exhausted (next_when is infinite, so
       // no time guard), fronts are head pointers, and machines out of
-      // work retire for good.
-      while (remaining > 0 && !pool.empty()) {
+      // work retire for good. Machines woken by the last admissions pop
+      // first, at the last arrival time, and may still hand off; the rest
+      // of the tail (all of a cohort run) skips the hand-off check.
+      const auto tail_dispatch = [&](auto may_hand_off) {
         const MachineId i = pool.top();
         const auto [q, pos] = pick(i, tail_front);
+        if constexpr (decltype(may_hand_off)::value) {
+          hand_off(i, q, pool.top_ready(), tail_front);
+        }
         if (q == UINT32_MAX) {
           pool.retire_top();  // no eligible work now or ever
-          continue;
+          return;
         }
         ++tail_head[q];
         run_top(i, pos);
-      }
+      };
+      while (woken_pending > 0 && remaining > 0) tail_dispatch(std::true_type{});
+      while (remaining > 0 && !pool.empty()) tail_dispatch(std::false_type{});
       continue;
     }
     while (remaining > 0 && !pool.empty() && pool.top_ready() < next_when) {
       const MachineId i = pool.top();
       const auto [q, pos] = pick(i, admitted_front);
+      if (woken_pending > 0) hand_off(i, q, pool.top_ready(), admitted_front);
       if (q == UINT32_MAX) {
-        // Nothing admitted but arrivals are still flowing: park. Any
-        // future admission to one of this machine's queues wakes it, so
-        // a machine parked on queues that never refill simply sleeps
-        // until the run ends.
+        // Nothing admitted but arrivals are still flowing: park until an
+        // admission to one of this machine's queues wakes it (wake,
+        // hand_off). A machine parked on queues that never refill simply
+        // sleeps until the run ends.
         pool.retire_top();
         parked[i] = 1;
         ++parked_count;

@@ -13,6 +13,7 @@
 
 #include "algo/dispatch_policies.hpp"
 #include "check/invariants.hpp"
+#include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
@@ -461,6 +462,45 @@ TEST(ServeStream, UnsortedArrivalsAdmitInTimeOrder) {
   }
   // Task 3 (arrives first) starts immediately despite lowest priority.
   EXPECT_DOUBLE_EQ(result.schedule.start[3], 0.0);
+}
+
+TEST(ServeStream, WokenMachineTakingAnotherQueueHandsTheWakeOn) {
+  // Machine 0 serves q1 = {0, 1} and q2 = {0}; machine 1 serves only q1.
+  // Both park at t=0 and tasks for q1 (task 0) and q2 (task 1) arrive
+  // together at t=1. Admission in id order wakes machine 0 for q1, but it
+  // takes the better-ranked q2 task, so the wake must pass to machine 1,
+  // which starts the q1 task at t=1 instead of waiting for machine 0.
+  // Run with the stream still open (a later task 2) and with these two
+  // arrivals as the last ones, where the frozen tail takes over.
+  for (const bool later_arrival : {true, false}) {
+    SCOPED_TRACE(later_arrival ? "stream open" : "frozen tail");
+    const std::size_t n = later_arrival ? 3 : 2;
+    const Instance instance =
+        Instance::from_estimates(std::vector<double>(n, 2.0), 2, 2.0);
+    std::vector<std::vector<MachineId>> sets = {{0, 1}, {0}, {0, 1}};
+    sets.resize(n);
+    const Placement placement(std::move(sets), 2);
+    std::vector<TaskId> priority = {1, 0, 2};
+    priority.resize(n);
+    Realization actual{{4.0, 3.0, 1.0}};
+    actual.actual.resize(n);
+    std::vector<Time> arrivals = {1.0, 1.0, 50.0};
+    arrivals.resize(n);
+
+    const StreamingDispatchResult got =
+        serve_stream(instance, placement, actual, priority, arrivals);
+    EXPECT_DOUBLE_EQ(got.schedule.start[1], 1.0);
+    EXPECT_EQ(got.schedule.assignment.machine_of[1], 0u);
+    EXPECT_DOUBLE_EQ(got.schedule.start[0], 1.0);
+    EXPECT_EQ(got.schedule.assignment.machine_of[0], 1u);
+
+    const StreamingDispatchResult want =
+        check::reference_serve_stream(instance, placement, actual, priority, arrivals);
+    EXPECT_EQ(got.schedule.assignment.machine_of, want.schedule.assignment.machine_of);
+    EXPECT_EQ(got.schedule.start, want.schedule.start);
+    EXPECT_EQ(got.schedule.finish, want.schedule.finish);
+    EXPECT_EQ(got.peak_backlog, want.peak_backlog);
+  }
 }
 
 TEST(ServeStream, ValidatesInputs) {

@@ -88,15 +88,19 @@ class Session {
     return true;
   }
 
-  /// Stops the sampler and writes every requested output.
-  void save() {
+  /// Stops the sampler and writes every requested output. The timeline
+  /// export is traced as a span in the command's category.
+  void save(const char* command) {
     if (sampler_) {
       sampler_->stop();
       std::cout << sampler_->samples() << " sample(s) written to " << sample_path_
                 << "\n";
     }
     if (timeline_) {
-      timeline_->save(timeline_path_);
+      {
+        obs::ScopedSpan span(tracer_.get(), "obs.timeline.save", command);
+        timeline_->save(timeline_path_);
+      }
       std::cout << timeline_->size() << " timeline event(s) written to "
                 << timeline_path_;
       if (timeline_->dropped() > 0) {
@@ -472,35 +476,45 @@ int cmd_serve(Args& args, Session& session) {
   }
   if (!session.start(args)) return EXIT_SUCCESS;
 
+  // One trace span per pipeline stage, named like the e2ebench layers;
+  // dispatch and stats are serve_stream's and compute_serve_stats' own.
+  obs::Tracer* const tr = obs::tracer();
   std::vector<Time> arrivals;
   std::optional<Instance> inst;
   Realization actual;
 
   if (model == ArrivalModel::kTrace) {
+    obs::ScopedSpan span(tr, "workload.load", "serve");
     const Trace trace = load_trace(trace_path);
     arrivals = arrivals_from_trace(trace);
     ReplayableWorkload workload = workload_from_trace(trace, w.params.num_machines);
     inst.emplace(std::move(workload.instance));
     actual = std::move(workload.actual);
   } else {
-    if (duration) {
-      arrivals = generate_arrivals_until(params, *duration);
-      if (arrivals.empty()) {
-        throw std::invalid_argument(
-            "serve: no arrivals inside --duration (raise --rate or --duration)");
+    {
+      obs::ScopedSpan span(tr, "serve.arrivals", "serve");
+      if (duration) {
+        arrivals = generate_arrivals_until(params, *duration);
+        if (arrivals.empty()) {
+          throw std::invalid_argument(
+              "serve: no arrivals inside --duration (raise --rate or --duration)");
+        }
+      } else {
+        arrivals = generate_arrivals(params, tasks);
       }
-    } else {
-      arrivals = generate_arrivals(params, tasks);
     }
     if (!instance_path.empty()) {
       // A file instance acts as the task-mix template; it is cycled to
       // cover however many tasks the arrival process produced.
+      obs::ScopedSpan span(tr, "workload.load", "serve");
       inst.emplace(cycle_instance(load_instance(instance_path), arrivals.size()));
     } else {
+      obs::ScopedSpan span(tr, "workload.generate", "serve");
       WorkloadParams sized = w.params;
       sized.num_tasks = arrivals.size();
       inst.emplace(generate_instance(w.kind, sized));
     }
+    obs::ScopedSpan span(tr, "perturb.realize", "serve");
     actual = realize(*inst, noise, seed);
   }
 
@@ -546,8 +560,14 @@ int cmd_serve(Args& args, Session& session) {
     fields["max_degree"] = JsonValue(static_cast<unsigned long long>(max_degree));
     obj["adaptive"] = JsonValue(std::move(fields));
   } else {
-    const Placement placement = strategy.place(*inst);
-    const std::vector<TaskId> priority = make_priority(*inst, strategy.rule());
+    const Placement placement = [&] {
+      obs::ScopedSpan span(tr, "algo.place", "serve");
+      return strategy.place(*inst);
+    }();
+    const std::vector<TaskId> priority = [&] {
+      obs::ScopedSpan span(tr, "algo.priority", "serve");
+      return make_priority(*inst, strategy.rule());
+    }();
     report = run_serve(*inst, placement, actual, priority, arrivals);
     // Offered load over the arrival window (the horizon also counts the
     // final drain, which would understate the rate).
@@ -579,7 +599,10 @@ int cmd_serve(Args& args, Session& session) {
 
   std::optional<SloReport> slo_report;
   if (slo) {
-    slo_report = evaluate_slo(report.schedule, arrivals, *slo);
+    slo_report = [&] {
+      obs::ScopedSpan span(tr, "serve.slo", "serve");
+      return evaluate_slo(report.schedule, arrivals, *slo);
+    }();
     print_slo_report(*slo, *slo_report);
   }
 
@@ -1200,7 +1223,7 @@ int main(int argc, char** argv) {
     Args args(argc - words, argv + words, std::string(argv[0]) + " " + name);
     Session session;
     const int status = command->run(args, session);
-    session.save();
+    session.save(command->name);
     return status;
   } catch (const std::invalid_argument& error) {
     // Bad or missing flag values from any subcommand surface here: one
