@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "io/json.hpp"
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
+#include "perf/bench_record.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
 
@@ -85,8 +85,14 @@ int main(int argc, char** argv) {
   }
   std::cout << "} m=" << m << " k=" << k << " (guarantee " << bound << ") ===\n";
 
+  // Timings gate as timing; search-iteration counts, bound/soundness
+  // violation counters and bit-mismatch totals are deterministic by
+  // contract and gate as exact.
+  using enum perf::Direction;
+  using enum perf::Noise;
+  perf::BenchRecord record("certify_scale", out_path);
+
   // ---- scale: single-threaded engine certify per instance size ----------
-  JsonArray scale_rows;
   bool any_violation = false;
   TextTable scale_table(
       {"n", "engine s", "lower", "upper", "guarantee", "iters", "backend"});
@@ -121,20 +127,20 @@ int main(int argc, char** argv) {
                          fmt(guarantee, 6), std::to_string(stats.iterations),
                          to_string(result.backend)});
 
-    JsonObject row;
-    row["n"] = JsonValue(static_cast<double>(n));
-    row["engine_seconds"] = JsonValue(engine_seconds);
-    row["lower"] = JsonValue(result.lower);
-    row["upper"] = JsonValue(result.upper);
-    row["guarantee"] = JsonValue(guarantee);
-    row["bound"] = JsonValue(bound);
-    row["iterations"] = JsonValue(static_cast<double>(stats.iterations));
-    row["infeasible_proofs"] =
-        JsonValue(static_cast<double>(stats.infeasible_proofs));
-    row["dp_decisions"] = JsonValue(static_cast<double>(stats.dp_decisions));
-    row["backend"] = JsonValue(std::string(to_string(result.backend)));
-    row["violation"] = JsonValue(violation ? 1.0 : 0.0);
-    scale_rows.push_back(JsonValue(std::move(row)));
+    // The realized guarantee depends only on the deterministic bisection
+    // bracket; a hair of absolute slack covers dump/parse rounding.
+    const std::string suffix = "_n" + std::to_string(n);
+    record.add("scale.engine_seconds" + suffix, engine_seconds, kLower, kTiming);
+    record.add("scale.iterations" + suffix, stats.iterations, kLower, kExact);
+    record.add("scale.guarantee" + suffix, guarantee, kLower, kExact,
+               /*abs_slack=*/1e-9);
+    record.add("scale.violations" + suffix, violation ? 1.0 : 0.0, kLower, kExact);
+    record.add("scale.lower" + suffix, result.lower, kNone, kExact);
+    record.add("scale.upper" + suffix, result.upper, kNone, kExact);
+    record.add("scale.bound" + suffix, bound, kNone, kExact);
+    record.add("scale.infeasible_proofs" + suffix, stats.infeasible_proofs, kNone,
+               kExact);
+    record.add("scale.dp_decisions" + suffix, stats.dp_decisions, kNone, kExact);
   }
   std::cout << scale_table.render();
 
@@ -217,8 +223,7 @@ int main(int argc, char** argv) {
             << " batch across {1,2,8} threads, " << bit_mismatches
             << " bit mismatches\n";
 
-  // ---- machine-readable summary -----------------------------------------
-  JsonObject root;
+  // ---- machine-readable record -------------------------------------------
   JsonObject params;
   JsonArray size_array;
   for (const std::size_t n : sizes) {
@@ -231,28 +236,17 @@ int main(int argc, char** argv) {
   params["multifit_n"] = JsonValue(static_cast<double>(multifit_n));
   params["batch"] = JsonValue(static_cast<double>(batch_count));
   params["batch_n"] = JsonValue(static_cast<double>(batch_n));
-  root["params"] = JsonValue(std::move(params));
-  root["scale"] = JsonValue(std::move(scale_rows));
-
-  JsonObject multifit_obj;
-  multifit_obj["n"] = JsonValue(static_cast<double>(multifit_n));
-  multifit_obj["seconds"] = JsonValue(multifit_seconds);
-  multifit_obj["iterations"] = JsonValue(static_cast<double>(mf.iterations));
-  root["multifit"] = JsonValue(std::move(multifit_obj));
-
-  JsonObject soundness;
-  soundness["seeds"] = JsonValue(static_cast<double>(fuzz_seeds));
-  soundness["exact_cases"] = JsonValue(static_cast<double>(exact_cases));
-  soundness["violations"] = JsonValue(static_cast<double>(soundness_violations));
-  root["soundness"] = JsonValue(std::move(soundness));
-
-  JsonObject determinism;
-  determinism["batch"] = JsonValue(static_cast<double>(batch_count));
-  determinism["bit_mismatches"] = JsonValue(static_cast<double>(bit_mismatches));
-  root["determinism"] = JsonValue(std::move(determinism));
-
-  std::ofstream file(out_path);
-  file << JsonValue(std::move(root)).dump(2) << "\n";
+  record.set_params(params);
+  record.add("multifit.seconds", multifit_seconds, kLower, kTiming);
+  record.add("multifit.iterations", static_cast<double>(mf.iterations), kLower,
+             kExact);
+  record.add("soundness.violations", static_cast<double>(soundness_violations),
+             kLower, kExact);
+  record.add("soundness.exact_cases", static_cast<double>(exact_cases), kNone,
+             kExact);
+  record.add("determinism.bit_mismatches", static_cast<double>(bit_mismatches),
+             kLower, kExact);
+  if (!record.try_save(out_path)) return EXIT_FAILURE;
   std::cout << "JSON written to " << out_path << "\n";
 
   if (any_violation || soundness_violations != 0 || bit_mismatches != 0) {

@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "io/json.hpp"
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
+#include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
 #include "workload/generators.hpp"
 
@@ -187,8 +187,10 @@ int main(int argc, char** argv) {
   table.add_row({"max |engine - legacy|", fmt(max_abs_diff_vs_legacy, 12)});
   std::cout << table.render();
 
-  // ---- machine-readable summary ------------------------------------------
-  JsonObject root;
+  // ---- machine-readable record -------------------------------------------
+  using enum perf::Direction;
+  using enum perf::Noise;
+  perf::BenchRecord record("certify", out_path);
   JsonObject params;
   params["n"] = JsonValue(static_cast<double>(n));
   params["m"] = JsonValue(static_cast<double>(m));
@@ -198,29 +200,26 @@ int main(int argc, char** argv) {
   JsonArray alpha_array;
   for (const double alpha : alphas) alpha_array.push_back(JsonValue(alpha));
   params["alphas"] = JsonValue(std::move(alpha_array));
-  root["params"] = JsonValue(std::move(params));
+  record.set_params(params);
 
-  JsonObject timing;
-  timing["legacy_seconds"] = JsonValue(legacy_seconds);
-  timing["engine_seq_seconds"] = JsonValue(engine_seq_seconds);
-  timing["engine_par_seconds"] = JsonValue(engine_par_seconds);
-  timing["speedup_seq"] = JsonValue(speedup_seq);
-  timing["speedup_par"] = JsonValue(speedup_par);
-  root["timing"] = JsonValue(std::move(timing));
+  record.add("timing.legacy_seconds", legacy_seconds, kLower, kTiming);
+  record.add("timing.engine_seq_seconds", engine_seq_seconds, kLower, kTiming);
+  record.add("timing.engine_par_seconds", engine_par_seconds, kLower, kTiming);
+  record.add("timing.speedup_seq", speedup_seq, kHigher, kTiming);
+  record.add("timing.speedup_par", speedup_par, kHigher, kTiming);
+  record.add("cache.hit_rate", par_stats.hit_rate(), kHigher, kExact);
+  record.add("cache.hits", static_cast<double>(par_stats.hits), kNone, kExact);
+  record.add("cache.misses", static_cast<double>(par_stats.misses), kNone, kExact);
+  record.add("cache.evictions", static_cast<double>(par_stats.evictions), kNone,
+             kExact);
+  record.add("checks.seq_par_bit_mismatches", static_cast<double>(bit_mismatches),
+             kLower, kExact);
+  // Numerical agreement with the legacy path: a few ulps of 1.0 is the
+  // expected magnitude, so grant absolute slack well above that but far
+  // below anything indicating a real numerics change.
+  record.add("checks.max_abs_diff_vs_legacy", max_abs_diff_vs_legacy, kLower,
+             kExact, /*abs_slack=*/1e-12);
 
-  JsonObject cache;
-  cache["hits"] = JsonValue(static_cast<double>(par_stats.hits));
-  cache["misses"] = JsonValue(static_cast<double>(par_stats.misses));
-  cache["hit_rate"] = JsonValue(par_stats.hit_rate());
-  cache["evictions"] = JsonValue(static_cast<double>(par_stats.evictions));
-  root["cache"] = JsonValue(std::move(cache));
-
-  JsonObject checks;
-  checks["seq_par_bit_mismatches"] = JsonValue(static_cast<double>(bit_mismatches));
-  checks["max_abs_diff_vs_legacy"] = JsonValue(max_abs_diff_vs_legacy);
-  root["checks"] = JsonValue(std::move(checks));
-
-  JsonArray series;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     double mean = 0, worst = 0;
     for (const double r : engine_seq[c]) {
@@ -228,18 +227,14 @@ int main(int argc, char** argv) {
       worst = std::max(worst, r);
     }
     mean /= static_cast<double>(trials);
-    JsonObject row;
-    row["alpha"] = JsonValue(cells[c].alpha);
-    row["strategy"] = JsonValue(strategies[cells[c].strategy].name());
-    row["noise"] = JsonValue(to_string(cells[c].noise));
-    row["mean_ratio"] = JsonValue(mean);
-    row["worst_ratio"] = JsonValue(worst);
-    series.push_back(JsonValue(std::move(row)));
+    const std::string series = "series." + strategies[cells[c].strategy].name() +
+                               "." + to_string(cells[c].noise) + ".alpha=" +
+                               JsonValue(cells[c].alpha).dump() + ".";
+    record.add(series + "mean_ratio", mean, kNone, kExact);
+    record.add(series + "worst_ratio", worst, kNone, kExact);
   }
-  root["series"] = JsonValue(std::move(series));
 
-  std::ofstream file(out_path);
-  file << JsonValue(std::move(root)).dump(2) << "\n";
+  if (!record.try_save(out_path)) return EXIT_FAILURE;
   std::cout << "JSON written to " << out_path << "\n";
 
   if (bit_mismatches != 0) {

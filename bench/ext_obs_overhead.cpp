@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -44,6 +43,7 @@
 #include "io/table.hpp"
 #include "obs/hooks.hpp"
 #include "obs/timeline.hpp"
+#include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/streaming_dispatcher.hpp"
@@ -178,34 +178,35 @@ int main(int argc, char** argv) {
             << fmt(max_overhead, 2) << ")\n";
 
   if (!out_path.empty()) {
-    JsonObject obj;
-    obj["tasks"] = JsonValue(static_cast<unsigned long long>(n));
-    obj["machines"] = JsonValue(static_cast<unsigned long long>(m));
-    obj["groups"] = JsonValue(static_cast<unsigned long long>(groups));
-    obj["reps"] = JsonValue(static_cast<unsigned long long>(reps));
-    obj["rate"] = JsonValue(rate);
-    obj["off_seconds"] = JsonValue(off_seconds);
-    obj["on_seconds"] = JsonValue(on_seconds);
-    obj["off_events_per_sec"] = JsonValue(off_eps);
-    obj["on_events_per_sec"] = JsonValue(on_eps);
-    obj["overhead_ratio"] = JsonValue(overhead);
-    obj["events_recorded"] =
-        JsonValue(static_cast<unsigned long long>(events_recorded));
-    obj["events_dropped"] =
-        JsonValue(static_cast<unsigned long long>(events_dropped));
-    obj["capacity"] = JsonValue(static_cast<unsigned long long>(full_events));
-    obj["drop_capacity"] =
+    // The ratio is the acceptance criterion (<= 5% overhead) and gates as
+    // timing with a small absolute slack so run-to-run jitter around 1.0
+    // does not flake; the event/drop accounting is deterministic (checked
+    // above) and gates exact.
+    using enum perf::Direction;
+    using enum perf::Noise;
+    perf::BenchRecord record("obs_overhead", out_path);
+    JsonObject record_params;
+    record_params["tasks"] = JsonValue(static_cast<unsigned long long>(n));
+    record_params["machines"] = JsonValue(static_cast<unsigned long long>(m));
+    record_params["groups"] = JsonValue(static_cast<unsigned long long>(groups));
+    record_params["reps"] = JsonValue(static_cast<unsigned long long>(reps));
+    record_params["rate"] = JsonValue(rate);
+    record_params["capacity"] = JsonValue(static_cast<unsigned long long>(full_events));
+    record_params["drop_capacity"] =
         JsonValue(static_cast<unsigned long long>(drop_capacity));
-    obj["drop_recorded"] =
-        JsonValue(static_cast<unsigned long long>(drop_recorded));
-    obj["drop_dropped"] =
-        JsonValue(static_cast<unsigned long long>(drop_dropped));
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return EXIT_FAILURE;
-    }
-    out << JsonValue(std::move(obj)).dump(2) << "\n";
+    record.set_params(record_params);
+    record.add("off_seconds", off_seconds, kLower, kTiming);
+    record.add("on_seconds", on_seconds, kLower, kTiming);
+    record.add("off_events_per_sec", off_eps, kHigher, kTiming);
+    record.add("on_events_per_sec", on_eps, kHigher, kTiming);
+    record.add("overhead_ratio", overhead, kLower, kTiming, /*abs_slack=*/0.05);
+    record.add("events_recorded", static_cast<double>(events_recorded), kNone,
+               kExact);
+    record.add("events_dropped", static_cast<double>(events_dropped), kNone,
+               kExact);
+    record.add("drop_recorded", static_cast<double>(drop_recorded), kNone, kExact);
+    record.add("drop_dropped", static_cast<double>(drop_dropped), kNone, kExact);
+    if (!record.try_save(out_path)) return EXIT_FAILURE;
   }
 
   if (overhead > max_overhead) {

@@ -31,7 +31,6 @@
 #include <limits>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,6 +42,7 @@
 #include "core/realization.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/online_dispatcher.hpp"
@@ -228,40 +228,42 @@ int main(int argc, char** argv) {
             << table.render();
 
   if (!out_path.empty()) {
-    JsonObject obj;
-    obj["tasks"] = JsonValue(static_cast<unsigned long long>(n));
-    obj["machines"] = JsonValue(static_cast<unsigned long long>(m));
-    obj["groups"] = JsonValue(static_cast<unsigned long long>(groups));
-    obj["reps"] = JsonValue(static_cast<unsigned long long>(reps));
-    obj["hold_size"] = JsonValue(static_cast<unsigned long long>(hold_size));
-    obj["hold_ops"] = JsonValue(static_cast<unsigned long long>(hold_ops));
+    using enum perf::Direction;
+    using enum perf::Noise;
+    perf::BenchRecord record("sim_throughput", out_path);
+    JsonObject record_params;
+    record_params["tasks"] = JsonValue(static_cast<unsigned long long>(n));
+    record_params["machines"] = JsonValue(static_cast<unsigned long long>(m));
+    record_params["groups"] = JsonValue(static_cast<unsigned long long>(groups));
+    record_params["reps"] = JsonValue(static_cast<unsigned long long>(reps));
+    record_params["hold_size"] = JsonValue(static_cast<unsigned long long>(hold_size));
+    record_params["hold_ops"] = JsonValue(static_cast<unsigned long long>(hold_ops));
+    record.set_params(record_params);
     // Headline metrics: the full-replication instance.
-    obj["reference_dispatch_seconds"] = JsonValue(headline.ref_seconds);
-    obj["soa_dispatch_seconds"] = JsonValue(headline.soa_seconds);
-    obj["reference_events_per_sec"] = JsonValue(ref_eps);
-    obj["soa_events_per_sec"] = JsonValue(soa_eps);
-    obj["dispatch_speedup"] = JsonValue(dispatch_speedup);
+    record.add("reference_dispatch_seconds", headline.ref_seconds, kLower, kTiming);
+    record.add("soa_dispatch_seconds", headline.soa_seconds, kLower, kTiming);
+    record.add("reference_events_per_sec", ref_eps, kHigher, kTiming);
+    record.add("soa_events_per_sec", soa_eps, kHigher, kTiming);
+    record.add("dispatch_speedup", dispatch_speedup, kHigher, kTiming);
     // The other two canonical placements, same workload.
-    obj["group_reference_seconds"] = JsonValue(cases[1].ref_seconds);
-    obj["group_soa_seconds"] = JsonValue(cases[1].soa_seconds);
-    obj["group_dispatch_speedup"] =
-        JsonValue(cases[1].ref_seconds / cases[1].soa_seconds);
-    obj["singleton_reference_seconds"] = JsonValue(cases[2].ref_seconds);
-    obj["singleton_soa_seconds"] = JsonValue(cases[2].soa_seconds);
-    obj["singleton_dispatch_speedup"] =
-        JsonValue(cases[2].ref_seconds / cases[2].soa_seconds);
-    obj["queue_legacy_seconds"] = JsonValue(legacy_seconds);
-    obj["queue_calendar_seconds"] = JsonValue(calendar_seconds);
-    obj["queue_speedup"] = JsonValue(queue_speedup);
-    obj["parity_mismatches"] =
-        JsonValue(static_cast<unsigned long long>(mismatches));
-    obj["parity_max_abs_diff"] = JsonValue(max_abs_diff);
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return EXIT_FAILURE;
-    }
-    out << JsonValue(std::move(obj)).dump(2) << "\n";
+    record.add("group_reference_seconds", cases[1].ref_seconds, kLower, kTiming);
+    record.add("group_soa_seconds", cases[1].soa_seconds, kLower, kTiming);
+    record.add("group_dispatch_speedup",
+               cases[1].ref_seconds / cases[1].soa_seconds, kHigher, kTiming);
+    record.add("singleton_reference_seconds", cases[2].ref_seconds, kLower, kTiming);
+    record.add("singleton_soa_seconds", cases[2].soa_seconds, kLower, kTiming);
+    record.add("singleton_dispatch_speedup",
+               cases[2].ref_seconds / cases[2].soa_seconds, kHigher, kTiming);
+    record.add("queue_legacy_seconds", legacy_seconds, kLower, kTiming);
+    record.add("queue_calendar_seconds", calendar_seconds, kLower, kTiming);
+    record.add("queue_speedup", queue_speedup, kHigher, kTiming);
+    // The bench exits non-zero on any divergence, so these are always zero
+    // in a recorded file; gating them exact means a future run that
+    // somehow emits a nonzero value trips the gate even if someone relaxes
+    // the binary's hard failure.
+    record.add("parity_mismatches", static_cast<double>(mismatches), kLower, kExact);
+    record.add("parity_max_abs_diff", max_abs_diff, kLower, kExact);
+    if (!record.try_save(out_path)) return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;
 }

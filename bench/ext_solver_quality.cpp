@@ -12,8 +12,8 @@
 #include "algo/lpt.hpp"
 #include "cli/args.hpp"
 #include "exact/branch_and_bound.hpp"
+#include "exact/certify_scale.hpp"
 #include "exact/dual_approx.hpp"
-#include "exact/ptas.hpp"
 #include "io/table.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
@@ -63,15 +63,18 @@ int main(int argc, char** argv) {
     mf_time += seconds_since(t0);
     mf_ratio.add(mf.makespan / opt.best);
 
+    HsCertifyOptions hs;
+    hs.precision_k = 2;
     t0 = Clock::now();
-    const PtasResult p2 = ptas_cmax(p, m, 2);
+    const CertifiedCmax p2 = hs_certified_cmax(p, m, hs);
     ptas2_time += seconds_since(t0);
-    ptas2_ratio.add(p2.makespan / opt.best);
+    ptas2_ratio.add(p2.upper / opt.best);
 
+    hs.precision_k = 4;
     t0 = Clock::now();
-    const PtasResult p4 = ptas_cmax(p, m, 4);
+    const CertifiedCmax p4 = hs_certified_cmax(p, m, hs);
     ptas4_time += seconds_since(t0);
-    ptas4_ratio.add(p4.makespan / opt.best);
+    ptas4_ratio.add(p4.upper / opt.best);
   }
 
   const double dreps = static_cast<double>(reps);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -12,7 +14,6 @@
 #include <sys/utsname.h>
 #endif
 
-#include "io/json.hpp"
 #include "repro/manifest.hpp"
 
 namespace rdp::perf {
@@ -38,7 +39,7 @@ double median_abs_deviation(const std::vector<double>& xs) {
 /// Recomputes `value` (best repeat in direction) and `mad` from repeats.
 void finalize_metric(BenchMetric& m) {
   if (m.repeats.empty()) m.repeats.push_back(m.value);
-  if (m.direction == "higher") {
+  if (m.direction == Direction::kHigher) {
     m.value = *std::max_element(m.repeats.begin(), m.repeats.end());
   } else {
     m.value = *std::min_element(m.repeats.begin(), m.repeats.end());
@@ -46,165 +47,10 @@ void finalize_metric(BenchMetric& m) {
   m.mad = median_abs_deviation(m.repeats);
 }
 
-void add_metric(BenchRecord& record, std::string name, double value,
-                std::string direction, std::string noise, double abs_slack = 0) {
-  BenchMetric m;
-  m.name = name;
-  m.value = value;
-  m.direction = std::move(direction);
-  m.noise = std::move(noise);
-  m.abs_slack = abs_slack;
-  m.repeats.push_back(value);
-  record.metrics.emplace(std::move(name), std::move(m));
-}
-
-/// ext_certify_speedup shape: {params, timing, cache, checks, series}.
-BenchRecord normalize_certify(const JsonValue& doc, const std::string& source) {
-  BenchRecord record;
-  record.name = "certify";
-  record.source = source;
-  if (const JsonValue* params = doc.find("params")) {
-    record.params_json = params->dump(-1);
-    record.params_hash = fnv1a_hex(record.params_json);
-  }
-  const JsonValue* timing = doc.find("timing");
-  for (const char* key : {"engine_seq_seconds", "engine_par_seconds",
-                          "legacy_seconds"}) {
-    add_metric(record, std::string("timing.") + key, timing->get_number(key),
-               "lower", "timing");
-  }
-  for (const char* key : {"speedup_seq", "speedup_par"}) {
-    add_metric(record, std::string("timing.") + key, timing->get_number(key),
-               "higher", "timing");
-  }
-  if (const JsonValue* cache = doc.find("cache")) {
-    add_metric(record, "cache.hit_rate", cache->get_number("hit_rate"),
-               "higher", "exact");
-  }
-  if (const JsonValue* checks = doc.find("checks")) {
-    add_metric(record, "checks.seq_par_bit_mismatches",
-               checks->get_number("seq_par_bit_mismatches"), "lower", "exact");
-    // Numerical agreement with the legacy path: a few ulps of 1.0 is the
-    // expected magnitude, so grant absolute slack well above that but far
-    // below anything indicating a real numerics change.
-    add_metric(record, "checks.max_abs_diff_vs_legacy",
-               checks->get_number("max_abs_diff_vs_legacy"), "lower", "exact",
-               /*abs_slack=*/1e-12);
-  }
-  return record;
-}
-
-/// ext_check_overhead shape: flat object with multiplier/..._seconds keys.
-BenchRecord normalize_check_overhead(const JsonValue& doc,
-                                     const std::string& source) {
-  BenchRecord record;
-  record.name = "check_overhead";
-  record.source = source;
-  JsonObject params;
-  params["cases"] = doc.get_number("cases");
-  params["reps"] = doc.get_number("reps");
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key : {"baseline_seconds", "guarded_off_seconds",
-                          "guarded_on_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  // Per-dispatch overheads are differences of noisy timings and can be a
-  // handful of (even negative) nanoseconds: grant absolute slack so the
-  // gate only fires on order-of-magnitude blowups, not scheduler jitter.
-  add_metric(record, "off_overhead_ns_per_dispatch",
-             doc.get_number("off_overhead_ns_per_dispatch"), "lower", "timing",
-             /*abs_slack=*/50.0);
-  add_metric(record, "on_overhead_ns_per_dispatch",
-             doc.get_number("on_overhead_ns_per_dispatch"), "lower", "timing",
-             /*abs_slack=*/500.0);
-  add_metric(record, "multiplier", doc.get_number("multiplier"), "lower",
-             "timing", /*abs_slack=*/0.05);
-  return record;
-}
-
-/// ext_sim_throughput shape: flat object with dispatch/queue speedups and
-/// bit-exactness counters.
-BenchRecord normalize_sim_throughput(const JsonValue& doc,
-                                     const std::string& source) {
-  BenchRecord record;
-  record.name = "sim_throughput";
-  record.source = source;
-  JsonObject params;
-  for (const char* key :
-       {"tasks", "machines", "groups", "reps", "hold_size", "hold_ops"}) {
-    params[key] = doc.get_number(key);
-  }
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key :
-       {"reference_dispatch_seconds", "soa_dispatch_seconds",
-        "group_reference_seconds", "group_soa_seconds",
-        "singleton_reference_seconds", "singleton_soa_seconds",
-        "queue_legacy_seconds", "queue_calendar_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  for (const char* key :
-       {"reference_events_per_sec", "soa_events_per_sec", "dispatch_speedup",
-        "group_dispatch_speedup", "singleton_dispatch_speedup",
-        "queue_speedup"}) {
-    add_metric(record, key, doc.get_number(key), "higher", "timing");
-  }
-  // The bench exits non-zero on any divergence, so these are always zero
-  // in a recorded file; gating them "exact" means a future run that
-  // somehow emits a nonzero value trips the gate even if someone relaxes
-  // the binary's hard failure.
-  add_metric(record, "parity_mismatches", doc.get_number("parity_mismatches"),
-             "lower", "exact");
-  add_metric(record, "parity_max_abs_diff",
-             doc.get_number("parity_max_abs_diff"), "lower", "exact");
-  return record;
-}
-
-/// ext_certify_scale shape: {params, scale: [...], multifit, soundness,
-/// determinism}. Timings gate as "timing"; search-iteration counts,
-/// bound/soundness violation counters, and bit-mismatch totals are
-/// deterministic by contract and gate as "exact".
-BenchRecord normalize_certify_scale(const JsonValue& doc,
-                                    const std::string& source) {
-  BenchRecord record;
-  record.name = "certify_scale";
-  record.source = source;
-  if (const JsonValue* params = doc.find("params")) {
-    record.params_json = params->dump(-1);
-    record.params_hash = fnv1a_hex(record.params_json);
-  }
-  const JsonValue* scale = doc.find("scale");
-  for (const JsonValue& row : scale->as_array()) {
-    const auto n = static_cast<long long>(row.get_number("n"));
-    const std::string suffix = "_n" + std::to_string(n);
-    add_metric(record, "scale.engine_seconds" + suffix,
-               row.get_number("engine_seconds"), "lower", "timing");
-    add_metric(record, "scale.iterations" + suffix,
-               row.get_number("iterations"), "lower", "exact");
-    // The realized guarantee depends only on the deterministic bisection
-    // bracket; a hair of absolute slack covers dump/parse rounding.
-    add_metric(record, "scale.guarantee" + suffix, row.get_number("guarantee"),
-               "lower", "exact", /*abs_slack=*/1e-9);
-    add_metric(record, "scale.violations" + suffix, row.get_number("violation"),
-               "lower", "exact");
-  }
-  if (const JsonValue* multifit = doc.find("multifit")) {
-    add_metric(record, "multifit.seconds", multifit->get_number("seconds"),
-               "lower", "timing");
-    add_metric(record, "multifit.iterations",
-               multifit->get_number("iterations"), "lower", "exact");
-  }
-  const JsonValue* soundness = doc.find("soundness");
-  add_metric(record, "soundness.violations",
-             soundness->get_number("violations"), "lower", "exact");
-  add_metric(record, "soundness.exact_cases",
-             soundness->get_number("exact_cases"), "none", "exact");
-  if (const JsonValue* determinism = doc.find("determinism")) {
-    add_metric(record, "determinism.bit_mismatches",
-               determinism->get_number("bit_mismatches"), "lower", "exact");
-  }
-  return record;
+/// The path's last component: a record names its file, not where it was.
+std::string file_name(const std::string& path) {
+  const std::size_t slash = path.find_last_of("/\\");
+  return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
 bool seconds_like(const std::string& name) {
@@ -222,29 +68,50 @@ BenchRecord normalize_snapshot(const JsonValue& doc, const std::string& source) 
   record.source = source;
   if (const JsonValue* counters = doc.find("counters")) {
     for (const auto& [key, value] : counters->as_object()) {
-      add_metric(record, "counters." + key, value.as_number(), "none", "exact");
+      record.add("counters." + key, value.as_number(), Direction::kNone,
+                 Noise::kExact);
     }
   }
   if (const JsonValue* gauges = doc.find("gauges")) {
     for (const auto& [key, value] : gauges->as_object()) {
-      add_metric(record, "gauges." + key, value.as_number(), "none", "timing");
+      record.add("gauges." + key, value.as_number(), Direction::kNone,
+                 Noise::kTiming);
     }
   }
   if (const JsonValue* histograms = doc.find("histograms")) {
     for (const auto& [key, value] : histograms->as_object()) {
-      const std::string direction = seconds_like(key) ? "lower" : "none";
+      const Direction direction =
+          seconds_like(key) ? Direction::kLower : Direction::kNone;
       for (const char* field : {"mean", "p50", "p90", "p99"}) {
-        add_metric(record, "histograms." + key + "." + field,
-                   value.get_number(field), direction, "timing");
+        record.add("histograms." + key + "." + field, value.get_number(field),
+                   direction, Noise::kTiming);
       }
-      add_metric(record, "histograms." + key + ".count",
-                 value.get_number("count"), "none", "exact");
+      record.add("histograms." + key + ".count", value.get_number("count"),
+                 Direction::kNone, Noise::kExact);
     }
   }
   return record;
 }
 
-/// Already-normalized BenchRecord JSON (round-trip of to_json()).
+/// Reads `field` of a stored metric as one of `options` by its to_string
+/// name; anything else names the file and the metric.
+template <class Enum>
+Enum parse_enum(const JsonValue& metric, const char* field,
+                std::initializer_list<Enum> options, const std::string& source,
+                const std::string& name) {
+  const JsonValue* stored = metric.find(field);
+  const std::string text =
+      stored != nullptr && stored->is_string() ? stored->as_string() : "";
+  std::string expected;
+  for (const Enum option : options) {
+    if (text == to_string(option)) return option;
+    expected += (expected.empty() ? "" : "|") + std::string(to_string(option));
+  }
+  throw std::runtime_error("perf: " + source + ": metric '" + name + "': " +
+                           field + " '" + text + "' is not one of " + expected);
+}
+
+/// A BenchRecord as to_json() writes it.
 BenchRecord parse_record(const JsonValue& doc, const std::string& source) {
   BenchRecord record;
   record.schema_version = static_cast<int>(doc.get_number("schema_version", 0));
@@ -265,23 +132,71 @@ BenchRecord parse_record(const JsonValue& doc, const std::string& source) {
   for (const auto& [key, value] : metrics->as_object()) {
     BenchMetric m;
     m.name = key;
-    m.value = value.get_number("value");
-    m.direction = value.get_string("direction", "lower");
-    m.noise = value.get_string("noise", "timing");
+    m.direction = parse_enum(value, "direction",
+                             {Direction::kLower, Direction::kHigher, Direction::kNone},
+                             source, key);
+    m.noise = parse_enum(value, "noise", {Noise::kTiming, Noise::kExact}, source, key);
     m.abs_slack = value.get_number("abs_slack");
     m.mad = value.get_number("mad");
+    const auto reject = [&](const std::string& why) {
+      throw std::runtime_error("perf: " + source + ": metric '" + key + "' " + why);
+    };
     if (const JsonValue* repeats = value.find("repeats")) {
+      if (!repeats->is_array()) reject("has non-array repeats");
       for (const JsonValue& r : repeats->as_array()) {
+        if (!r.is_number()) reject("has a non-numeric repeat");
         m.repeats.push_back(r.as_number());
       }
     }
-    if (m.repeats.empty()) m.repeats.push_back(m.value);
+    const JsonValue* stored = value.find("value");
+    if (stored != nullptr && stored->is_number()) {
+      m.value = stored->as_number();
+    } else if (m.repeats.empty()) {
+      reject("has neither a numeric value nor repeats");
+    }
     record.metrics.emplace(key, std::move(m));
   }
   return record;
 }
 
 }  // namespace
+
+const char* to_string(Direction direction) {
+  switch (direction) {
+    case Direction::kLower: return "lower";
+    case Direction::kHigher: return "higher";
+    case Direction::kNone: return "none";
+  }
+  return "?";
+}
+
+const char* to_string(Noise noise) {
+  return noise == Noise::kExact ? "exact" : "timing";
+}
+
+BenchRecord::BenchRecord(std::string bench_name, const std::string& out_path)
+    : name(std::move(bench_name)), source(file_name(out_path)) {}
+
+void BenchRecord::set_params(const JsonObject& params) {
+  params_json = JsonValue(params).dump(-1);
+  params_hash = fnv1a_hex(params_json);
+}
+
+void BenchRecord::add(std::string metric, double value, Direction direction,
+                      Noise noise, double abs_slack) {
+  if (metrics.contains(metric)) {
+    throw std::invalid_argument("perf: " + name + ": metric '" + metric +
+                                "' added twice");
+  }
+  BenchMetric m;
+  m.name = metric;
+  m.value = value;
+  m.direction = direction;
+  m.noise = noise;
+  m.abs_slack = abs_slack;
+  m.repeats.push_back(value);
+  metrics.emplace(std::move(metric), std::move(m));
+}
 
 const BenchMetric* BenchRecord::find(const std::string& metric) const {
   const auto it = metrics.find(metric);
@@ -293,8 +208,8 @@ std::string BenchRecord::to_json(int indent) const {
   for (const auto& [key, m] : metrics) {
     JsonObject obj;
     obj["value"] = m.value;
-    obj["direction"] = m.direction;
-    obj["noise"] = m.noise;
+    obj["direction"] = to_string(m.direction);
+    obj["noise"] = to_string(m.noise);
     obj["abs_slack"] = m.abs_slack;
     obj["mad"] = m.mad;
     JsonArray repeats;
@@ -321,123 +236,14 @@ void BenchRecord::save(const std::string& path) const {
   if (!out) throw std::runtime_error("perf: write failed for " + path);
 }
 
-/// ext_serve_throughput: streaming dispatcher vs the offline core on the
-/// same workload. The ratio and raw rates are timing-class; the drain
-/// parity counter is deterministic (the bench hard-fails on a nonzero
-/// value, so it gates "exact" like sim_throughput's parity metrics).
-BenchRecord normalize_serve_throughput(const JsonValue& doc,
-                                       const std::string& source) {
-  BenchRecord record;
-  record.name = "serve_throughput";
-  record.source = source;
-  JsonObject params;
-  for (const char* key : {"tasks", "machines", "groups", "reps", "rate"}) {
-    params[key] = doc.get_number(key);
+bool BenchRecord::try_save(const std::string& path) const {
+  try {
+    save(path);
+    return true;
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return false;
   }
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key :
-       {"offline_seconds", "drain_seconds", "serve_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  for (const char* key :
-       {"offline_events_per_sec", "drain_events_per_sec",
-        "serve_events_per_sec", "serve_vs_offline_ratio",
-        "drain_vs_offline_ratio"}) {
-    add_metric(record, key, doc.get_number(key), "higher", "timing");
-  }
-  add_metric(record, "drain_parity_mismatches",
-             doc.get_number("drain_parity_mismatches"), "lower", "exact");
-  add_metric(record, "peak_backlog", doc.get_number("peak_backlog"), "none",
-             "exact");
-  for (const char* key : {"response_p50", "response_p90", "response_p99"}) {
-    add_metric(record, key, doc.get_number(key), "none", "exact");
-  }
-  return record;
-}
-
-/// ext_adapt shape: {adaptive_sweep, adaptive_fuzz, *_seconds}. Both
-/// sections are deterministic in the seed (dispatch + certification are
-/// pure FP), so the ratios gate "exact" with dump/parse slack; the
-/// bound-violation counter is the acceptance criterion and gates hard at
-/// its recorded value (0). Wall-clock sections are timing-class.
-BenchRecord normalize_adapt(const JsonValue& doc, const std::string& source) {
-  BenchRecord record;
-  record.name = "adapt";
-  record.source = source;
-  const JsonValue* sweep = doc.find("adaptive_sweep");
-  const JsonValue* fuzz = doc.find("adaptive_fuzz");
-  JsonObject params;
-  for (const char* key : {"tasks", "machines", "seed", "budget"}) {
-    params[key] = doc.get_number(key);
-  }
-  params["trials"] = sweep->get_number("trials");
-  params["alpha_from"] = sweep->get_number("alpha_from");
-  params["alpha_to"] = sweep->get_number("alpha_to");
-  params["fuzz_seeds"] = fuzz->get_number("seeds");
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-
-  add_metric(record, "sweep.adaptive_mean_ratio",
-             sweep->get_number("adaptive_mean_ratio"), "lower", "exact",
-             /*abs_slack=*/1e-9);
-  add_metric(record, "sweep.best_lsgroup_mean_ratio",
-             sweep->get_number("best_lsgroup_mean_ratio"), "lower", "exact",
-             /*abs_slack=*/1e-9);
-  add_metric(record, "sweep.adaptive_final_alpha_hat",
-             sweep->get_number("adaptive_final_alpha_hat"), "none", "exact",
-             /*abs_slack=*/1e-9);
-  // The headline: 1 iff the adaptive mean ratio undercuts every fixed
-  // LS-Group degree on the drifting sweep.
-  add_metric(record, "sweep.adaptive_beats_lsgroup",
-             sweep->get_number("adaptive_beats_lsgroup"), "higher", "exact");
-  if (const JsonValue* fixed = sweep->find("fixed_mean_ratios")) {
-    for (const auto& [key, value] : fixed->as_object()) {
-      add_metric(record, "sweep.fixed." + key, value.as_number(), "none",
-                 "exact", /*abs_slack=*/1e-9);
-    }
-  }
-  add_metric(record, "fuzz.bound_violations",
-             fuzz->get_number("bound_violations"), "lower", "exact");
-  add_metric(record, "fuzz.max_bound_fraction",
-             fuzz->get_number("max_bound_fraction"), "lower", "exact",
-             /*abs_slack=*/1e-9);
-  for (const char* key : {"sweep_seconds", "fuzz_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  return record;
-}
-
-/// ext_obs_overhead: serve_stream with the timeline recorder off vs on.
-/// The ratio is the acceptance criterion (<= 5% overhead) and gates as
-/// timing with a small absolute slack so run-to-run jitter around 1.0
-/// does not flake; the event/drop accounting is deterministic (the bench
-/// hard-fails on any mismatch) and gates "exact".
-BenchRecord normalize_obs_overhead(const JsonValue& doc,
-                                   const std::string& source) {
-  BenchRecord record;
-  record.name = "obs_overhead";
-  record.source = source;
-  JsonObject params;
-  for (const char* key : {"tasks", "machines", "groups", "reps", "rate",
-                          "capacity", "drop_capacity"}) {
-    params[key] = doc.get_number(key);
-  }
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key : {"off_seconds", "on_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  for (const char* key : {"off_events_per_sec", "on_events_per_sec"}) {
-    add_metric(record, key, doc.get_number(key), "higher", "timing");
-  }
-  add_metric(record, "overhead_ratio", doc.get_number("overhead_ratio"),
-             "lower", "timing", /*abs_slack=*/0.05);
-  for (const char* key : {"events_recorded", "events_dropped",
-                          "drop_recorded", "drop_dropped"}) {
-    add_metric(record, key, doc.get_number(key), "none", "exact");
-  }
-  return record;
 }
 
 BenchRecord normalize_bench_json(const JsonValue& doc, const std::string& source) {
@@ -447,35 +253,13 @@ BenchRecord normalize_bench_json(const JsonValue& doc, const std::string& source
   BenchRecord record;
   if (doc.find("schema_version") != nullptr && doc.find("metrics") != nullptr) {
     record = parse_record(doc, source);
-  } else if (doc.find("timing") != nullptr && doc.find("cache") != nullptr) {
-    record = normalize_certify(doc, source);
-  } else if (doc.find("multiplier") != nullptr &&
-             doc.find("baseline_seconds") != nullptr) {
-    record = normalize_check_overhead(doc, source);
-  } else if (doc.find("dispatch_speedup") != nullptr &&
-             doc.find("queue_speedup") != nullptr) {
-    record = normalize_sim_throughput(doc, source);
-  } else if (doc.find("serve_vs_offline_ratio") != nullptr &&
-             doc.find("drain_parity_mismatches") != nullptr) {
-    record = normalize_serve_throughput(doc, source);
-  } else if (doc.find("scale") != nullptr && doc.find("soundness") != nullptr) {
-    record = normalize_certify_scale(doc, source);
-  } else if (doc.find("adaptive_sweep") != nullptr &&
-             doc.find("adaptive_fuzz") != nullptr) {
-    record = normalize_adapt(doc, source);
-  } else if (doc.find("overhead_ratio") != nullptr &&
-             doc.find("events_recorded") != nullptr) {
-    record = normalize_obs_overhead(doc, source);
   } else if (doc.find("counters") != nullptr &&
              doc.find("histograms") != nullptr) {
     record = normalize_snapshot(doc, source);
   } else {
-    throw std::runtime_error(
-        "perf: " + source +
-        ": unrecognized benchmark JSON shape (expected a BenchRecord, "
-        "ext_certify_speedup, ext_check_overhead, ext_sim_throughput, "
-        "ext_serve_throughput, ext_certify_scale, ext_adapt, "
-        "ext_obs_overhead, or metrics snapshot)");
+    throw std::runtime_error("perf: " + source +
+                             ": neither a bench record (schema_version + "
+                             "metrics) nor a --metrics-out snapshot");
   }
   for (auto& [key, m] : record.metrics) finalize_metric(m);
   return record;
@@ -492,12 +276,7 @@ BenchRecord load_bench_file(const std::string& path) {
   } catch (const std::exception& e) {
     throw std::runtime_error("perf: " + path + ": " + e.what());
   }
-  // Strip the directory so `source` matches regardless of where the raw
-  // file was when it was recorded.
-  std::string source = path;
-  const std::size_t slash = source.find_last_of("/\\");
-  if (slash != std::string::npos) source = source.substr(slash + 1);
-  return normalize_bench_json(doc, source);
+  return normalize_bench_json(doc, file_name(path));
 }
 
 BenchRecord merge_repeats(const std::vector<BenchRecord>& runs) {

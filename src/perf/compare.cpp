@@ -12,7 +12,7 @@ namespace rdp::perf {
 namespace {
 
 double threshold_for(const BenchMetric& baseline, const CompareOptions& options) {
-  const double rel = baseline.noise == "exact" ? options.exact_rel_tolerance
+  const double rel = baseline.noise == Noise::kExact ? options.exact_rel_tolerance
                                                : options.timing_rel_tolerance;
   return std::max({rel * std::fabs(baseline.value),
                    options.mad_multiplier * baseline.mad, baseline.abs_slack});
@@ -29,7 +29,7 @@ bool CompareResult::regressed() const {
 bool CompareResult::exact_regressed() const {
   if (!params_match) return true;
   return std::any_of(metrics.begin(), metrics.end(), [](const MetricVerdict& v) {
-    return v.noise == "exact" && v.regressed();
+    return v.noise == Noise::kExact && v.regressed();
   });
 }
 
@@ -40,7 +40,7 @@ std::string CompareResult::render_table() const {
   TextTable table({"metric", "dir", "baseline", "current", "delta",
                    "threshold", "status"});
   for (const MetricVerdict& v : metrics) {
-    table.add_row({v.name, v.direction, fmt(v.baseline), fmt(v.current),
+    table.add_row({v.name, to_string(v.direction), fmt(v.baseline), fmt(v.current),
                    fmt(v.delta), fmt(v.threshold), v.status});
   }
   out << table.render();
@@ -58,8 +58,8 @@ JsonValue CompareResult::to_json() const {
     obj["current"] = v.current;
     obj["delta"] = v.delta;
     obj["threshold"] = v.threshold;
-    obj["direction"] = v.direction;
-    obj["noise"] = v.noise;
+    obj["direction"] = to_string(v.direction);
+    obj["noise"] = to_string(v.noise);
     obj["status"] = v.status;
     metric_array.emplace_back(std::move(obj));
   }
@@ -120,19 +120,20 @@ CompareResult compare_records(const BenchRecord& baseline,
     v.threshold = threshold_for(base, options);
     const BenchMetric* cur = current.find(name);
     if (cur == nullptr) {
-      if (base.direction == "none") continue;  // informational, may come and go
+      if (base.direction == Direction::kNone) continue;  // informational, may come and go
       v.status = "missing";
       result.metrics.push_back(std::move(v));
       continue;
     }
     v.current = cur->value;
     v.delta = cur->value - base.value;
-    if (base.direction == "none") {
+    if (base.direction == Direction::kNone) {
       v.status = "info";
     } else if (std::fabs(v.delta) <= v.threshold) {
       v.status = "ok";
     } else {
-      const bool worse = base.direction == "lower" ? v.delta > 0 : v.delta < 0;
+      const bool worse =
+          base.direction == Direction::kLower ? v.delta > 0 : v.delta < 0;
       v.status = worse ? "regressed" : "improved";
     }
     result.metrics.push_back(std::move(v));

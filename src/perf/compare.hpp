@@ -7,7 +7,7 @@
 //   mad_multiplier * baseline.mad  (the baseline's own measured jitter)
 //   metric.abs_slack               (absolute floor for near-zero baselines)
 // -- and only a change *in the worse direction* beyond the threshold
-// regresses. Metrics with direction "none" are reported but never gate.
+// regresses. Metrics with Direction::kNone are reported but never gate.
 // Schema-level problems (params drift, metrics that vanished) are
 // regressions too: a gate that silently stops measuring is worse than a
 // slow gate.
@@ -21,8 +21,8 @@
 namespace rdp::perf {
 
 struct CompareOptions {
-  double timing_rel_tolerance = 0.20;  ///< "timing" metrics: 20% relative
-  double exact_rel_tolerance = 1e-9;   ///< "exact" metrics: bit-for-bit-ish
+  double timing_rel_tolerance = 0.20;  ///< timing metrics: 20% relative
+  double exact_rel_tolerance = 1e-9;   ///< exact metrics: bit-for-bit-ish
   double mad_multiplier = 4.0;         ///< slack per unit of baseline MAD
   /// Treat a params-hash mismatch as a warning instead of a regression
   /// (for comparing across intentional parameter changes).
@@ -35,8 +35,8 @@ struct MetricVerdict {
   double current = 0;
   double delta = 0;        ///< current - baseline
   double threshold = 0;    ///< slack granted before calling it a change
-  std::string direction;   ///< "lower" | "higher" | "none"
-  std::string noise;       ///< "timing" | "exact" (from the baseline metric)
+  Direction direction = Direction::kLower;
+  Noise noise = Noise::kTiming;  ///< from the baseline metric
   /// "ok" | "improved" | "regressed" | "info" | "missing" | "new"
   std::string status;
 
@@ -56,7 +56,7 @@ struct CompareResult {
   /// (unless ignore_params).
   [[nodiscard]] bool regressed() const;
 
-  /// True when an "exact"-noise-class metric (counters, iteration counts,
+  /// True when an exact-noise-class metric (counters, iteration counts,
   /// bit-mismatch totals -- deterministic by contract) regressed or
   /// vanished, or params drifted. These stay enforced even when timing
   /// regressions are downgraded to warnings on shared runners

@@ -67,8 +67,11 @@ TEST(GoldenExtensions, SpeculativeDispatcher) {
 
 TEST(GoldenExtensions, PtasAndPartition) {
   const Fixture f = make_fixture();
-  const PtasResult ptas = ptas_cmax(f.actual.actual, 6, 3);
-  EXPECT_DOUBLE_EQ(ptas.makespan, 26.110706983321247);
+  HsCertifyOptions hs;
+  hs.precision_k = 3;
+  const CertifiedCmax ptas = hs_certified_cmax(f.actual.actual, 6, hs);
+  EXPECT_DOUBLE_EQ(ptas.lower, 25.727420021717464);
+  EXPECT_DOUBLE_EQ(ptas.upper, 27.957896264025702);
 
   const std::vector<Time> p = {7, 3, 3, 5, 4, 6, 2, 8};
   const PartitionResult dp = partition_cmax(p, 1.0);

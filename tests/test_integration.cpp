@@ -111,14 +111,17 @@ TEST(Integration, SolverStackAgreesOnSharedInstances) {
   const PartitionResult dp = partition_cmax(p, 1.0);
   const MultifitResult mf = multifit_cmax(p, m);
   const GreedyScheduleResult lpt = lpt_schedule(p, m);
-  const PtasResult ptas = ptas_cmax(p, m, 3);
+  HsCertifyOptions hs;
+  hs.precision_k = 3;
+  const CertifiedCmax ptas = hs_certified_cmax(p, m, hs);
 
   ASSERT_TRUE(exact.proven);
   EXPECT_LE(lb, exact.best + 1e-9);
   EXPECT_NEAR(dp.makespan, exact.best, 1e-9);
   EXPECT_GE(mf.makespan + 1e-9, exact.best);
   EXPECT_GE(lpt.makespan + 1e-9, mf.makespan - 1e-9);
-  EXPECT_LE(ptas.makespan, (1.0 + 1.0 / 3.0) * exact.best + 1e-6);
+  EXPECT_LE(ptas.upper, (1.0 + 1.0 / 3.0) * exact.best + 1e-6);
+  EXPECT_LE(ptas.lower, exact.best + 1e-9);
 
   const CertifiedCmax certified = certified_cmax(p, m);
   EXPECT_TRUE(certified.exact);

@@ -1,8 +1,8 @@
-// Tests for the perf regression gate (src/perf/): BenchRecord
-// normalization of every raw BENCH_*.json shape, min-of-k repeat
-// merging, JSON round-trips, and the noise-aware comparison -- including
-// the golden cases the ISSUE pins: a self-compare is clean, and an
-// injected 2x slowdown is detected and named.
+// Tests for the perf regression gate (src/perf/): building BenchRecords
+// the way benches do, strict loading of records and --metrics-out
+// snapshots, min-of-k repeat merging, JSON round-trips, and the
+// noise-aware comparison -- including the golden cases: a self-compare is
+// clean, and an injected 2x slowdown is detected and named.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,72 +15,94 @@
 namespace rdp {
 namespace {
 
-// A miniature ext_certify_speedup output (the real files carry more
-// series rows; the loader only reads params/timing/cache/checks).
-const char* kCertifyJson = R"({
-  "cache": {"evictions": 0, "hit_rate": 0.8, "hits": 16, "misses": 4},
-  "checks": {"max_abs_diff_vs_legacy": 2.2e-16, "seq_par_bit_mismatches": 0},
-  "params": {"alphas": [1.5], "budget": 300000, "m": 8, "n": 22,
-             "threads": 8, "trials": 2},
-  "series": [],
-  "timing": {"engine_par_seconds": 0.022, "engine_seq_seconds": 0.021,
-             "legacy_seconds": 0.110, "speedup_par": 5.0, "speedup_seq": 5.2}
-})";
+using enum perf::Direction;
+using enum perf::Noise;
 
-const char* kOverheadJson = R"({
-  "cases": 60, "reps": 5,
-  "baseline_seconds": 1.1, "guarded_off_seconds": 1.12,
-  "guarded_on_seconds": 1.9,
-  "off_overhead_ns_per_dispatch": 2.5, "on_overhead_ns_per_dispatch": 120.0,
-  "multiplier": 1.7
-})";
-
-perf::BenchRecord certify_record(double seq_seconds = 0.021) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject timing = root.at("timing").as_object();
-  timing["engine_seq_seconds"] = seq_seconds;
-  root["timing"] = std::move(timing);
-  return perf::normalize_bench_json(JsonValue(std::move(root)),
-                                    "BENCH_certify_smoke.json");
+// A miniature ext_certify_speedup record (the bench also records cache
+// counts and per-strategy series ratios as informational metrics).
+perf::BenchRecord certify_record(double seq_seconds = 0.021,
+                                 double hit_rate = 0.8, int trials = 2) {
+  perf::BenchRecord record("certify", "results/BENCH_certify_smoke.json");
+  JsonObject params;
+  params["alphas"] = JsonArray{JsonValue(1.5)};
+  params["budget"] = 300000;
+  params["m"] = 8;
+  params["n"] = 22;
+  params["threads"] = 8;
+  params["trials"] = trials;
+  record.set_params(params);
+  record.add("timing.engine_seq_seconds", seq_seconds, kLower, kTiming);
+  record.add("timing.engine_par_seconds", 0.022, kLower, kTiming);
+  record.add("timing.legacy_seconds", 0.110, kLower, kTiming);
+  record.add("timing.speedup_seq", 5.2, kHigher, kTiming);
+  record.add("timing.speedup_par", 5.0, kHigher, kTiming);
+  record.add("cache.hit_rate", hit_rate, kHigher, kExact);
+  record.add("cache.hits", 16, kNone, kExact);
+  record.add("checks.seq_par_bit_mismatches", 0, kLower, kExact);
+  record.add("checks.max_abs_diff_vs_legacy", 2.2e-16, kLower, kExact,
+             /*abs_slack=*/1e-12);
+  return record;
 }
 
-// --- Normalization ---------------------------------------------------------
+// A miniature ext_check_overhead record.
+perf::BenchRecord overhead_record(double off_overhead_ns = 2.5) {
+  perf::BenchRecord record("check_overhead", "BENCH_check_overhead_smoke.json");
+  JsonObject params;
+  params["cases"] = 60;
+  params["reps"] = 5;
+  record.set_params(params);
+  record.add("baseline_seconds", 1.1, kLower, kTiming);
+  record.add("off_overhead_ns_per_dispatch", off_overhead_ns, kLower, kTiming,
+             /*abs_slack=*/50.0);
+  record.add("multiplier", 1.7, kLower, kTiming, /*abs_slack=*/0.05);
+  return record;
+}
 
-TEST(BenchRecord, NormalizesCertifyShape) {
+// The stored form of a one-metric record, as a bench writes it.
+std::string stored_record(const std::string& metric_json) {
+  return R"({"schema_version": 1, "name": "serve_throughput_steady",
+             "params_hash": "a5a88fe7a3ae4c03", "metrics": {"serve_seconds": )" +
+         metric_json + "}}";
+}
+
+std::string load_error(const std::string& text, const std::string& source) {
+  try {
+    (void)perf::normalize_bench_json(parse_json(text), source);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// --- Building and reading records ------------------------------------------
+
+TEST(BenchRecord, BuilderSetsProvenanceAndMetrics) {
   const perf::BenchRecord record = certify_record();
   EXPECT_EQ(record.name, "certify");
-  EXPECT_EQ(record.source, "BENCH_certify_smoke.json");
+  EXPECT_EQ(record.source, "BENCH_certify_smoke.json") << "directory stripped";
+  EXPECT_EQ(record.params_json,
+            R"({"alphas":[1.5],"budget":300000,"m":8,"n":22,"threads":8,"trials":2})");
+  EXPECT_EQ(record.params_hash, perf::fnv1a_hex(record.params_json));
   EXPECT_EQ(record.params_hash.size(), 16u);
 
   const perf::BenchMetric* seq = record.find("timing.engine_seq_seconds");
   ASSERT_NE(seq, nullptr);
   EXPECT_DOUBLE_EQ(seq->value, 0.021);
-  EXPECT_EQ(seq->direction, "lower");
-  EXPECT_EQ(seq->noise, "timing");
+  EXPECT_EQ(seq->direction, kLower);
+  EXPECT_EQ(seq->noise, kTiming);
+  EXPECT_EQ(seq->repeats, std::vector<double>{0.021});
+  EXPECT_EQ(seq->mad, 0.0);
 
-  const perf::BenchMetric* speedup = record.find("timing.speedup_seq");
-  ASSERT_NE(speedup, nullptr);
-  EXPECT_EQ(speedup->direction, "higher");
-
-  const perf::BenchMetric* hit_rate = record.find("cache.hit_rate");
-  ASSERT_NE(hit_rate, nullptr);
-  EXPECT_EQ(hit_rate->direction, "higher");
-  EXPECT_EQ(hit_rate->noise, "exact");
-
-  ASSERT_NE(record.find("checks.seq_par_bit_mismatches"), nullptr);
-  ASSERT_NE(record.find("checks.max_abs_diff_vs_legacy"), nullptr);
-}
-
-TEST(BenchRecord, NormalizesCheckOverheadShape) {
-  const perf::BenchRecord record = perf::normalize_bench_json(
-      parse_json(kOverheadJson), "BENCH_check_overhead_smoke.json");
-  EXPECT_EQ(record.name, "check_overhead");
-  const perf::BenchMetric* off = record.find("off_overhead_ns_per_dispatch");
+  const perf::BenchRecord overhead = overhead_record();
+  const perf::BenchMetric* off = overhead.find("off_overhead_ns_per_dispatch");
   ASSERT_NE(off, nullptr);
   EXPECT_GT(off->abs_slack, 0.0) << "near-zero baselines need absolute slack";
-  ASSERT_NE(record.find("multiplier"), nullptr);
-  ASSERT_NE(record.find("baseline_seconds"), nullptr);
+}
+
+TEST(BenchRecord, AddRejectsADuplicateMetric) {
+  perf::BenchRecord record = certify_record();
+  EXPECT_THROW(record.add("cache.hit_rate", 0.5, kHigher, kExact),
+               std::invalid_argument);
 }
 
 TEST(BenchRecord, NormalizesMetricsSnapshotShape) {
@@ -96,19 +118,70 @@ TEST(BenchRecord, NormalizesMetricsSnapshotShape) {
   EXPECT_EQ(record.name, "metrics_snapshot");
   const perf::BenchMetric* p99 = record.find("histograms.sweep.cell_seconds.p99");
   ASSERT_NE(p99, nullptr);
-  EXPECT_EQ(p99->direction, "lower") << "seconds-like histograms gate on tails";
+  EXPECT_EQ(p99->direction, kLower) << "seconds-like histograms gate on tails";
   EXPECT_DOUBLE_EQ(p99->value, 0.0019);
   const perf::BenchMetric* calls = record.find("counters.sim.dispatch.calls");
   ASSERT_NE(calls, nullptr);
-  EXPECT_EQ(calls->direction, "none") << "counters are informational";
+  EXPECT_EQ(calls->direction, kNone) << "counters are informational";
 }
 
 TEST(BenchRecord, RejectsUnknownShape) {
   EXPECT_THROW(
       (void)perf::normalize_bench_json(parse_json(R"({"foo": 1})"), "x.json"),
       std::runtime_error);
+  // The flat object ext_serve_throughput once wrote: benches write records
+  // now, so the loader no longer guesses at bench-specific shapes.
+  const char* flat_serve = R"({"tasks": 50000, "machines": 64, "rate": 200,
+    "serve_seconds": 0.03, "serve_vs_offline_ratio": 0.82,
+    "drain_parity_mismatches": 0})";
+  EXPECT_THROW((void)perf::normalize_bench_json(parse_json(flat_serve),
+                                                "BENCH_serve_throughput.json"),
+               std::runtime_error);
   EXPECT_THROW((void)perf::load_bench_file("/nonexistent/bench.json"),
                std::runtime_error);
+}
+
+// A typo'd direction used to read as higher-is-better, so a 2x slower
+// serve_seconds compared "improved" and the gate passed.
+TEST(BenchRecord, RejectsUnknownDirectionNamingFileAndMetric) {
+  const std::string error = load_error(
+      stored_record(R"({"value": 0.064, "direction": "Lower", "noise": "timing"})"),
+      "serve_throughput_steady.json");
+  EXPECT_NE(error.find("serve_throughput_steady.json"), std::string::npos) << error;
+  EXPECT_NE(error.find("serve_seconds"), std::string::npos) << error;
+  EXPECT_NE(error.find("Lower"), std::string::npos) << error;
+  EXPECT_NE(load_error(stored_record(R"({"value": 1, "noise": "timing"})"), "a.json"),
+            "")
+      << "a missing direction is not a default";
+}
+
+// Any noise class but "exact" used to read as timing, with its 20% slack.
+TEST(BenchRecord, RejectsUnknownNoiseClassNamingFileAndMetric) {
+  const std::string error = load_error(
+      stored_record(R"({"value": 0, "direction": "lower", "noise": "Exact"})"),
+      "serve_throughput_steady.json");
+  EXPECT_NE(error.find("serve_throughput_steady.json"), std::string::npos) << error;
+  EXPECT_NE(error.find("serve_seconds"), std::string::npos) << error;
+  EXPECT_NE(error.find("Exact"), std::string::npos) << error;
+}
+
+TEST(BenchRecord, RejectsAMetricWithoutAValue) {
+  for (const char* metric :
+       {R"({"direction": "lower", "noise": "timing"})",
+        R"({"value": "0.03", "direction": "lower", "noise": "timing"})",
+        R"({"value": 0.03, "repeats": ["x"], "direction": "lower", "noise": "timing"})"}) {
+    const std::string error = load_error(stored_record(metric), "b.json");
+    EXPECT_NE(error.find("b.json"), std::string::npos) << metric;
+    EXPECT_NE(error.find("serve_seconds"), std::string::npos) << metric;
+  }
+  // Repeats alone are enough: value is their best.
+  const perf::BenchRecord record = perf::normalize_bench_json(
+      parse_json(stored_record(
+          R"({"repeats": [0.04, 0.03], "direction": "lower", "noise": "timing"})")),
+      "c.json");
+  const perf::BenchMetric* seconds = record.find("serve_seconds");
+  ASSERT_NE(seconds, nullptr);
+  EXPECT_DOUBLE_EQ(seconds->value, 0.03);
 }
 
 TEST(BenchRecord, JsonRoundTripPreservesEverything) {
@@ -151,13 +224,7 @@ TEST(BenchRecord, MergeRepeatsTakesBestAndComputesMad) {
 }
 
 TEST(BenchRecord, MergeRejectsMismatchedParams) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject params = root.at("params").as_object();
-  params["trials"] = 64;  // different workload
-  root["params"] = std::move(params);
-  const perf::BenchRecord other =
-      perf::normalize_bench_json(JsonValue(std::move(root)), "other.json");
+  const perf::BenchRecord other = certify_record(0.021, 0.8, /*trials=*/64);
   EXPECT_THROW((void)perf::merge_repeats({certify_record(), other}),
                std::runtime_error);
 }
@@ -180,7 +247,7 @@ TEST(PerfCompare, SelfCompareIsClean) {
   }
 }
 
-// The ISSUE's golden case: double one timing metric, the gate must fire
+// The golden case: double one timing metric, the gate must fire
 // and name it.
 TEST(PerfCompare, DetectsInjectedTwoXSlowdownByName) {
   const perf::BenchRecord baseline = certify_record(0.021);
@@ -235,13 +302,7 @@ TEST(PerfCompare, MadWidensTheThreshold) {
 }
 
 TEST(PerfCompare, ParamsDriftRegressesUnlessIgnored) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject params = root.at("params").as_object();
-  params["trials"] = 64;
-  root["params"] = std::move(params);
-  const perf::BenchRecord other =
-      perf::normalize_bench_json(JsonValue(std::move(root)), "other.json");
+  const perf::BenchRecord other = certify_record(0.021, 0.8, /*trials=*/64);
 
   const perf::CompareResult strict = perf::compare_records(certify_record(), other);
   EXPECT_FALSE(strict.params_match);
@@ -287,29 +348,17 @@ TEST(PerfCompare, NewMetricIsInformational) {
 }
 
 TEST(PerfCompare, AbsSlackProtectsNearZeroBaselines) {
-  const perf::BenchRecord baseline = perf::normalize_bench_json(
-      parse_json(kOverheadJson), "BENCH_check_overhead_smoke.json");
   // Off-overhead jumps 2.5ns -> 40ns: a 16x relative change that is still
   // scheduler noise in absolute terms -- inside the 50ns slack.
-  JsonValue doc = parse_json(kOverheadJson);
-  JsonObject root = doc.as_object();
-  root["off_overhead_ns_per_dispatch"] = 40.0;
-  const perf::BenchRecord current = perf::normalize_bench_json(
-      JsonValue(std::move(root)), "BENCH_check_overhead_smoke.json");
-  const perf::CompareResult result = perf::compare_records(baseline, current);
+  const perf::CompareResult result =
+      perf::compare_records(overhead_record(2.5), overhead_record(40.0));
   EXPECT_FALSE(result.regressed());
 }
 
 TEST(PerfCompare, ExactMetricsAreTight) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject cache = root.at("cache").as_object();
-  cache["hit_rate"] = 0.5;  // cache effectiveness collapsed
-  root["cache"] = std::move(cache);
-  const perf::BenchRecord current = perf::normalize_bench_json(
-      JsonValue(std::move(root)), "BENCH_certify_smoke.json");
+  // Cache effectiveness collapsed.
   const perf::CompareResult result =
-      perf::compare_records(certify_record(), current);
+      perf::compare_records(certify_record(), certify_record(0.021, 0.5));
   EXPECT_TRUE(result.regressed());
   bool named = false;
   for (const auto& verdict : result.metrics) {

@@ -1035,13 +1035,13 @@ struct VerdictFlags {
   }
 };
 
-/// `perf record`: normalize raw bench JSON (min-of-k over several files)
-/// into a committed baseline record.
+/// `perf record`: merge repeats of one bench's records (min-of-k) and
+/// stamp git sha and host into a committed baseline.
 int cmd_perf_record(Args& args, Session& session) {
-  std::vector<std::string> inputs = args.texts("in", "", "bench JSON files");
+  std::vector<std::string> inputs = args.texts("in", "", "bench records");
   const std::string name = args.text("name", "", "record name (default: the bench's)");
   std::string out = args.text("out", "", "output (default: bench/baselines/NAME.json)");
-  const std::vector<std::string> pos = args.positionals("FILE", "more bench JSON files");
+  const std::vector<std::string> pos = args.positionals("FILE", "more bench records");
   inputs.insert(inputs.end(), pos.begin(), pos.end());
   if (!session.start(args)) return EXIT_SUCCESS;
   if (inputs.empty()) {
@@ -1071,7 +1071,7 @@ int cmd_perf_record(Args& args, Session& session) {
 /// `perf compare`: diff one fresh run against one baseline.
 int cmd_perf_compare(Args& args, Session& session) {
   const std::string baseline_path = args.required("baseline", "baseline record");
-  const std::string current_path = args.required("current", "fresh bench JSON");
+  const std::string current_path = args.required("current", "fresh bench record");
   const VerdictFlags flags(args);
   if (!session.start(args)) return EXIT_SUCCESS;
   const perf::BenchRecord baseline = perf::load_bench_file(baseline_path);
@@ -1099,7 +1099,7 @@ int cmd_perf_compare(Args& args, Session& session) {
 int cmd_perf_gate(Args& args, Session& session) {
   const std::string baselines_dir =
       args.text("baselines", "bench/baselines", "committed baseline directory");
-  const std::string current_dir = args.text("current-dir", ".", "fresh bench JSON dir");
+  const std::string current_dir = args.text("current-dir", ".", "fresh bench record dir");
   const VerdictFlags flags(args);
   if (!session.start(args)) return EXIT_SUCCESS;
 
@@ -1180,7 +1180,7 @@ constexpr Command kCommands[] = {
     {"bounds", cmd_bounds, "the paper's guarantees for m and alpha"},
     {"repro", cmd_repro, "regenerate the paper's tables, figures and checks"},
     {"fuzz", cmd_fuzz, "differential fuzzing of the dispatchers"},
-    {"perf record", cmd_perf_record, "normalize bench JSON into a baseline record"},
+    {"perf record", cmd_perf_record, "merge bench records into a stamped baseline"},
     {"perf compare", cmd_perf_compare, "diff one fresh run against one baseline"},
     {"perf gate", cmd_perf_gate, "diff every committed baseline (bench/baselines/)"},
 };
