@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < trials; ++t) {
       const Realization actual = realize(inst, NoiseModel::kUniform, 600 + t);
       SpeculationPolicy off;
-      off.enabled = false;
+      off.max_copies = 1;
       base.add(dispatch_speculative(inst, placement, actual, priority, speeds, off)
                    .makespan);
       const SpeculativeResult on = dispatch_speculative(

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     const Placement placement = mech.strategy.place(inst);
     const auto priority = make_priority(inst, mech.strategy.rule());
     SpeculationPolicy policy;
-    policy.enabled = mech.speculate;
+    policy.max_copies = mech.speculate ? 2 : 1;
     Welford cmax, backups, waste;
     for (std::size_t job = 0; job < jobs; ++job) {
       const Realization actual = realize(inst, NoiseModel::kUniform, 300 + job);

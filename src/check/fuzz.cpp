@@ -8,6 +8,7 @@
 #include <ostream>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "adapt/adaptive_strategy.hpp"
 #include "check/invariants.hpp"
@@ -334,7 +335,7 @@ FuzzCase restrict_tasks(const FuzzCase& fuzz_case, std::size_t num_tasks) {
 
 namespace {
 
-constexpr std::size_t kChecksPerCase = 14;
+constexpr std::size_t kChecksPerCase = 15;
 constexpr double kTol = 1e-9;
 
 struct CheckContext {
@@ -607,7 +608,7 @@ void check_speculative_disabled(const CheckContext& ctx) {
   const DispatchResult online =
       dispatch_online(c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
   SpeculationPolicy off;
-  off.enabled = false;
+  off.max_copies = 1;
   const SpeculativeResult spec =
       dispatch_speculative(c.instance, c.placement, c.actual, c.priority,
                            SpeedProfile(c.speeds), off);
@@ -626,7 +627,7 @@ void check_speculative_enabled(const CheckContext& ctx) {
   const FuzzCase& c = ctx.c;
   const DispatchResult online =
       dispatch_online(c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
-  SpeculationPolicy policy;  // defaults: enabled, max 2 copies
+  SpeculationPolicy policy;  // default: max 2 copies
   const SpeculativeResult spec =
       dispatch_speculative(c.instance, c.placement, c.actual, c.priority,
                            SpeedProfile(c.speeds), policy);
@@ -970,6 +971,30 @@ void check_slo_differential(const CheckContext& ctx) {
   }
 }
 
+void check_transfer_reference_differential(const CheckContext& ctx) {
+  // The kernel's remote tier against the naive oracle, at zero cost
+  // (remote runs still happen and count) and under the random model.
+  const FuzzCase& c = ctx.c;
+  const std::pair<const char*, TransferModel> models[] = {
+      {"zero-cost model: ", zero_cost_model()}, {"random model: ", c.transfer}};
+  for (const auto& [where, model] : models) {
+    const TransferDispatchResult got =
+        dispatch_with_transfers(c.instance, c.placement, c.actual, c.priority, model);
+    const TransferDispatchResult want = reference_dispatch_with_transfers(
+        c.instance, c.placement, c.actual, c.priority, model);
+    std::string diff = diff_schedules(got.schedule, want.schedule);
+    if (diff.empty()) diff = diff_traces(got.trace, want.trace);
+    if (diff.empty() && (got.remote_runs != want.remote_runs ||
+                         got.transfer_time != want.transfer_time)) {
+      diff = "remote_runs / transfer_time diverge from the reference";
+    }
+    if (!diff.empty()) {
+      ctx.fail("transfer-reference-differential", std::string(where) + diff);
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 FuzzScenario fuzz_scenario_from_name(const std::string& name) {
@@ -1000,6 +1025,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_serve_stream_differential(ctx);
   check_adaptive_bound(ctx);
   check_slo_differential(ctx);
+  check_transfer_reference_differential(ctx);
   return failures;
 }
 

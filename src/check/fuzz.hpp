@@ -18,7 +18,9 @@
 //     arbitrary placements must add exactly zero fetch time; with a
 //     random model it must pass the invariants with remote tasks paying
 //     exactly the model's fetch, plus locality-preference compliance;
-//   * dispatch_speculative with speculation disabled must be
+//     under both models it must match a naive scan-everything reference
+//     bit-for-bit (schedule, trace, remote_runs, transfer_time);
+//   * dispatch_speculative with max_copies = 1 (no duplicates) must be
 //     bit-identical to dispatch_online on the same speed profile, and
 //     with speculation enabled must never exceed the non-speculative
 //     makespan on the same realization;

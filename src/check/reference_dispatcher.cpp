@@ -286,4 +286,51 @@ StreamingDispatchResult reference_serve_stream(const Instance& instance,
   return result;
 }
 
+TransferDispatchResult reference_dispatch_with_transfers(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const TransferModel& model) {
+  const std::size_t n = instance.num_tasks();
+  const MachineId m = instance.num_machines();
+  if (placement.num_tasks() != n || placement.num_machines() != m ||
+      actual.size() != n || priority.size() != n) {
+    throw std::invalid_argument("reference_dispatch_with_transfers: size mismatch");
+  }
+  std::vector<Time> ready(m, 0);
+  std::vector<bool> started(n, false);
+  TransferDispatchResult result;
+  result.schedule.assignment = Assignment(n);
+  result.schedule.start.assign(n, 0);
+  result.schedule.finish.assign(n, 0);
+  for (std::size_t step = 0; step < n; ++step) {
+    // min_element returns the first minimum: the lowest id among ties.
+    const auto i = static_cast<MachineId>(
+        std::min_element(ready.begin(), ready.end()) - ready.begin());
+    auto it = std::find_if(priority.begin(), priority.end(), [&](TaskId t) {
+      return !started[t] && placement.allows(t, i);
+    });
+    const bool remote = it == priority.end();
+    if (remote) {
+      it = std::find_if(priority.begin(), priority.end(),
+                        [&](TaskId t) { return !started[t]; });
+    }
+    const TaskId j = *it;
+    Time duration = actual[j];
+    if (remote) {
+      const Time fetch = model.latency + instance.size(j) / model.bandwidth;
+      duration += fetch;
+      result.transfer_time += fetch;
+      ++result.remote_runs;
+    }
+    const Time start = ready[i];
+    ready[i] = start + duration;
+    started[j] = true;
+    result.schedule.assignment.machine_of[j] = i;
+    result.schedule.start[j] = start;
+    result.schedule.finish[j] = ready[i];
+    result.trace.events.push_back(DispatchEvent{start, j, i, duration});
+  }
+  result.makespan = result.schedule.makespan();
+  return result;
+}
+
 }  // namespace rdp::check

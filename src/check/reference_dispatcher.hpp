@@ -20,6 +20,7 @@
 #include "core/types.hpp"
 #include "serve/streaming_dispatcher.hpp"
 #include "sim/online_dispatcher.hpp"
+#include "sim/transfer_dispatcher.hpp"
 
 namespace rdp {
 class Instance;
@@ -51,6 +52,16 @@ namespace rdp::check {
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, std::span<const Time> arrivals,
     std::vector<Time> initial_ready = {}, std::vector<double> speeds = {});
+
+/// Naive dispatch_with_transfers: per step, the (ready, id)-least machine
+/// by linear scan runs the first unstarted task in priority order it
+/// holds a replica of, else the first unstarted task, paying latency +
+/// size / bandwidth extra. O(n (n + m)) per run. The kernel's remote
+/// tier must match its schedule, trace, remote_runs and transfer_time
+/// bit for bit.
+[[nodiscard]] TransferDispatchResult reference_dispatch_with_transfers(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const TransferModel& model);
 
 /// Pre-rewrite EventQueue: std::priority_queue with a (time, seq) wrapper
 /// and a *copy-out* pop -- the shape the production queue had before the

@@ -86,9 +86,9 @@ CompareResult compare_records(const BenchRecord& baseline,
   result.baseline_source = baseline.source;
   result.current_source = current.source;
 
-  // Differing names alone are only a note (`perf record --name=...`
-  // renames records); params_hash is what identifies the workload, and a
-  // genuinely different benchmark fails anyway through missing metrics.
+  // Differing names alone are only a note: params_hash is what
+  // identifies the workload, and a genuinely different benchmark fails
+  // anyway through missing metrics.
   if (baseline.name != current.name) {
     result.notes.push_back("record names differ: baseline '" + baseline.name +
                            "' vs current '" + current.name + "'");

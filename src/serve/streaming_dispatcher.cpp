@@ -26,7 +26,7 @@ void serve_stream(const Instance& instance, const Placement& placement,
   obs::ScopedSpan span(obs::tracer(), "serve_stream", "serve");
   out.peak_backlog =
       run_dispatch_kernel("serve_stream", instance, placement, actual, priority,
-                          arrivals, initial_ready, speeds, ws, out.schedule,
+                          arrivals, initial_ready, speeds, {}, ws, out.schedule,
                           out.trace);
 
   if (obs::MetricsRegistry* const mx = obs::metrics()) {

@@ -130,7 +130,8 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
                                 const std::vector<TaskId>& priority,
                                 std::span<const Time> arrivals,
                                 std::span<const Time> initial_ready,
-                                std::span<const double> speeds, SimWorkspace& ws,
+                                std::span<const double> speeds,
+                                std::span<const Time> remote_cost, SimWorkspace& ws,
                                 Schedule& schedule, DispatchTrace& trace) {
   const std::size_t n = instance.num_tasks();
   const MachineId m = instance.num_machines();
@@ -167,6 +168,12 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
     for (double s : speeds) {
       if (!(s > 0.0)) reject(caller, "speeds must be positive");
     }
+  }
+  if (!remote_cost.empty() && (!arrivals.empty() || remote_cost.size() != n)) {
+    reject(caller, "remote costs need an offline run and one cost per task");
+  }
+  for (Time c : remote_cost) {
+    if (!(c >= 0.0)) reject(caller, "remote costs must be non-negative");
   }
 
   // Equal-time cohort, decided before the build passes: every task is
@@ -402,6 +409,25 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
                                  pool.top_ready()));
     --backlog;
   };
+  // Remote tier (cohort runs only). Machine i, the pool's top, has no
+  // local work: it runs the best-ranked unstarted task anywhere, plus its
+  // remote cost. Every better-ranked task has started, so that task is
+  // its queue's front; the cursor skips tasks that are not (started).
+  std::size_t remote_cursor = 0;
+  const auto run_remote = [&](MachineId i) {
+    TaskId j = priority[remote_cursor];
+    std::uint32_t q = placement.set_id(j);
+    std::uint32_t pos = tail_front(q);
+    while (pos == UINT32_MAX || queue_tasks[pos] != j) {
+      j = priority[++remote_cursor];
+      q = placement.set_id(j);
+      pos = tail_front(q);
+    }
+    ++tail_head[q];
+    pool.occupy_top(
+        record_start(i, j, queue_durations[pos] + remote_cost[j], pool.top_ready()));
+    --backlog;
+  };
 
   // Wake one. An admission to queue q at time t re-inserts only the
   // lowest-id parked member of q, ready at t. Waking every parked member
@@ -539,22 +565,30 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
       // no time guard), fronts are head pointers, and machines out of
       // work retire for good. Machines woken by the last admissions pop
       // first, at the last arrival time, and may still hand off; the rest
-      // of the tail (all of a cohort run) skips the hand-off check.
-      const auto tail_dispatch = [&](auto may_hand_off) {
+      // of the tail (all of a cohort run) skips the hand-off check. A
+      // machine out of local work retires, or with remote costs (cohort
+      // only) takes the remote tier: a separate instantiation, so the
+      // plain tail loop is unchanged.
+      const auto retire = [&](MachineId) { pool.retire_top(); };
+      const auto tail_dispatch = [&](auto may_hand_off, const auto& out_of_work) {
         const MachineId i = pool.top();
         const auto [q, pos] = pick(i, tail_front);
         if constexpr (decltype(may_hand_off)::value) {
           hand_off(i, q, pool.top_ready(), tail_front);
         }
         if (q == UINT32_MAX) {
-          pool.retire_top();  // no eligible work now or ever
+          out_of_work(i);
           return;
         }
         ++tail_head[q];
         run_top(i, pos);
       };
-      while (woken_pending > 0 && remaining > 0) tail_dispatch(std::true_type{});
-      while (remaining > 0 && !pool.empty()) tail_dispatch(std::false_type{});
+      while (woken_pending > 0 && remaining > 0) tail_dispatch(std::true_type{}, retire);
+      if (remote_cost.empty()) {
+        while (remaining > 0 && !pool.empty()) tail_dispatch(std::false_type{}, retire);
+      } else {
+        while (remaining > 0) tail_dispatch(std::false_type{}, run_remote);
+      }
       continue;
     }
     while (remaining > 0 && !pool.empty() && pool.top_ready() < next_when) {

@@ -1,12 +1,15 @@
 // The phase-2 dispatch kernel. The paper's phase 2 is one rule: an idle
 // machine takes the highest-priority waiting task whose replica set
 // contains it. This is the one implementation of that rule for identical
-// or uniform machines, shared by two entry points:
+// or uniform machines, shared by three entry points:
 //
 //   * dispatch_online (sim/online_dispatcher.hpp) -- every task released
 //     at t = 0: the kernel's equal-time cohort run;
 //   * serve_stream (serve/streaming_dispatcher.hpp) -- tasks released
-//     over time by an arrival process.
+//     over time by an arrival process;
+//   * dispatch_with_transfers (sim/transfer_dispatcher.hpp) -- the cohort
+//     run plus a remote tier: a machine with no local work left takes the
+//     best-ranked waiting task anywhere and pays that task's fetch cost.
 //
 // Tasks sharing a replica set share one priority-sorted CSR queue;
 // machines sit in a (ready time, id) ReadyHeap. Arrivals add admission
@@ -39,9 +42,13 @@ class SimWorkspace;
 /// the chronological trace into `schedule` / `trace` (reusing their
 /// capacity). `arrivals` holds per-task release times (finite, >= 0), or
 /// is empty to release every task at t = 0; `priority`, `initial_ready`
-/// and `speeds` are as documented on dispatch_online. Per-run state is
-/// carved out of `ws`. Throws std::invalid_argument, prefixed with
-/// `caller`, on malformed input. Returns the peak backlog: the most
+/// and `speeds` are as documented on dispatch_online. `remote_cost` is
+/// empty, or holds per-task fetch costs (>= 0): a machine whose replica
+/// sets hold no waiting task then runs the best-ranked waiting task for
+/// its realized time plus that cost instead of retiring. Remote costs
+/// are offline-only (`arrivals` must be empty). Per-run state is carved
+/// out of `ws`. Throws std::invalid_argument, prefixed with `caller`, on
+/// malformed input. Returns the peak backlog: the most
 /// admitted-but-unstarted tasks at any instant.
 std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
                                 const Placement& placement,
@@ -49,7 +56,8 @@ std::size_t run_dispatch_kernel(const char* caller, const Instance& instance,
                                 const std::vector<TaskId>& priority,
                                 std::span<const Time> arrivals,
                                 std::span<const Time> initial_ready,
-                                std::span<const double> speeds, SimWorkspace& ws,
+                                std::span<const double> speeds,
+                                std::span<const Time> remote_cost, SimWorkspace& ws,
                                 Schedule& schedule, DispatchTrace& trace);
 
 /// Exports a finished run to the installed flight recorder (no-op when

@@ -18,7 +18,7 @@ void dispatch_online(const Instance& instance, const Placement& placement,
   // a cached pointer; nothing here influences dispatch decisions.
   obs::ScopedSpan span(obs::tracer(), "dispatch_online", "sim");
   (void)run_dispatch_kernel("dispatch_online", instance, placement, actual,
-                            priority, {}, initial_ready, speeds, ws,
+                            priority, {}, initial_ready, speeds, {}, ws,
                             out.schedule, out.trace);
 
   if (obs::MetricsRegistry* const mx = obs::metrics()) {

@@ -114,7 +114,7 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
     events.push(SimEvent{0, kSimEventFree, i, kNoTask, 0, seq++});
   }
 
-  const bool speculation_on = policy.enabled && policy.max_copies >= 2;
+  const bool speculation_on = policy.max_copies >= 2;
   std::size_t remaining = n;
 
   auto launch = [&](TaskId j, MachineId i, Time now, bool is_backup) {

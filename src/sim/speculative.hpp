@@ -27,7 +27,6 @@ class Instance;
 struct Realization;
 
 struct SpeculationPolicy {
-  bool enabled = true;
   /// Maximum simultaneous copies per task (>= 1; 1 disables duplication).
   unsigned max_copies = 2;
   /// Only speculate on tasks whose estimated completion is at least this
@@ -45,9 +44,9 @@ struct SpeculativeResult {
   Time makespan = 0;
 };
 
-/// Runs speculative dispatch on uniform machines. With
-/// `policy.enabled == false` (or max_copies == 1) the result matches
-/// dispatch_online with the same speed profile exactly.
+/// Runs speculative dispatch on uniform machines. With max_copies == 1
+/// the result matches dispatch_online with the same speed profile
+/// exactly.
 [[nodiscard]] SpeculativeResult dispatch_speculative(
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, const SpeedProfile& speeds,

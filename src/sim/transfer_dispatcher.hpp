@@ -10,6 +10,9 @@
 // Dispatch rule (Hadoop-style locality preference): when a machine
 // becomes idle it takes its highest-priority *local* waiting task if one
 // exists; otherwise its highest-priority remote task, paying the fetch.
+// That is the phase-2 dispatch kernel (sim/dispatch_kernel.hpp) with a
+// per-task remote cost: the local tier is dispatch_online's greedy rule,
+// and the remote tier runs where a machine would otherwise retire.
 #pragma once
 
 #include <vector>
@@ -42,7 +45,8 @@ struct TransferDispatchResult {
 };
 
 /// Runs locality-aware dispatch. Every task may run anywhere; placement
-/// only determines which runs are free (local) vs paid (remote).
+/// only determines which runs are free (local) vs paid (remote). Records
+/// a start and a finish per task to the installed flight recorder.
 [[nodiscard]] TransferDispatchResult dispatch_with_transfers(
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, const TransferModel& model);

@@ -87,9 +87,6 @@ class SimWorkspace {
 
   /// Machines idle with no eligible work, woken by the next completion.
   std::vector<MachineId> parked;
-
- private:
-  std::size_t heaps_in_use_ = 0;
 };
 
 /// The calling thread's lazily-created workspace. The by-value dispatcher

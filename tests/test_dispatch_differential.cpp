@@ -187,7 +187,7 @@ TEST_P(DispatcherFamilyEquivalence, DegenerateConfigsMatchPlain) {
   EXPECT_EQ(transfers.remote_runs, 0u);
 
   SpeculationPolicy off;
-  off.enabled = false;
+  off.max_copies = 1;
   const SpeculativeResult spec = dispatch_speculative(
       inst, placement, actual, priority, SpeedProfile::identical(m), off);
   expect_identical(plain.schedule, spec.schedule);

@@ -32,6 +32,7 @@
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
+#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perturb/stochastic.hpp"
@@ -711,6 +712,46 @@ TEST(ObsIntegration, DispatchRecordsMetricsAndSpans) {
             inst.num_machines());
   ASSERT_EQ(tracer.size(), 1u);
   EXPECT_EQ(tracer.events()[0].name, "dispatch_online");
+}
+
+// Transfers run through the dispatch kernel, so a recorded run carries
+// the offline timeline shape: a start per task, then a finish per task,
+// each in task order, with a remote run's span covering its fetch.
+TEST(ObsIntegration, TransferDispatchRecordsStartAndFinishPerTask) {
+  const Instance inst = test_instance(30, 4);
+  // Every replica on machine 0: machines 1-3 can only run remotely.
+  const Placement p = Placement::singleton(std::vector<MachineId>(30, 0), 4);
+  const Realization r = realize(inst, NoiseModel::kUniform, 3);
+  const auto priority = make_priority(inst, PriorityRule::kLongestEstimateFirst);
+  TransferModel model;
+  model.bandwidth = 10.0;
+  model.latency = 0.5;
+
+  obs::TimelineRecorder recorder(1000);
+  TransferDispatchResult result;
+  {
+    obs::TimelineScope scope(&recorder);
+    result = dispatch_with_transfers(inst, p, r, priority, model);
+  }
+  const std::size_t n = inst.num_tasks();
+  ASSERT_GT(result.remote_runs, 0u);
+  ASSERT_EQ(recorder.size(), 2 * n);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  for (TaskId j = 0; j < n; ++j) {
+    const obs::TimelineEvent start = recorder.event(j);
+    const obs::TimelineEvent finish = recorder.event(n + j);
+    EXPECT_EQ(start.kind, obs::TimelineEventKind::kStart);
+    EXPECT_EQ(finish.kind, obs::TimelineEventKind::kFinish);
+    EXPECT_EQ(start.task, j);
+    EXPECT_EQ(finish.task, j);
+    EXPECT_EQ(start.machine, result.schedule.assignment.machine_of[j]);
+    EXPECT_EQ(start.when, result.schedule.start[j]);
+    EXPECT_EQ(finish.when, result.schedule.finish[j]);
+    if (start.machine != 0) {  // remote: the span includes the fetch
+      EXPECT_EQ(finish.when,
+                start.when + (r[j] + (model.latency + inst.size(j) / model.bandwidth)));
+    }
+  }
 }
 
 TEST(ObsIntegration, ThreadPoolRecordsQueueAndTaskMetrics) {

@@ -1,4 +1,4 @@
-// Tests for the DES core (EventQueue/Simulator), the ReadyHeap machine
+// Tests for the DES event queue (EventQueue), the ReadyHeap machine
 // heap, and the online semi-clairvoyant dispatcher.
 #include <gtest/gtest.h>
 
@@ -31,31 +31,6 @@ TEST(EventQueue, OrdersByTimeThenFifo) {
   EXPECT_EQ(q.pop().payload, 30);  // FIFO among equal times
   EXPECT_EQ(q.pop().payload, 10);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(Simulator, RunsEventsInOrderAndAdvancesClock) {
-  Simulator sim;
-  std::string log;
-  sim.schedule_at(5.0, [&](Simulator& s) {
-    log += "b";
-    EXPECT_DOUBLE_EQ(s.now(), 5.0);
-  });
-  sim.schedule_at(1.0, [&](Simulator& s) {
-    log += "a";
-    s.schedule_in(1.5, [&](Simulator&) { log += "c"; });
-  });
-  const Time end = sim.run();
-  EXPECT_EQ(log, "acb");
-  EXPECT_DOUBLE_EQ(end, 5.0);
-  EXPECT_EQ(sim.events_processed(), 3u);
-}
-
-TEST(Simulator, RejectsSchedulingInThePast) {
-  Simulator sim;
-  sim.schedule_at(2.0, [](Simulator& s) {
-    EXPECT_THROW(s.schedule_at(1.0, [](Simulator&) {}), std::invalid_argument);
-  });
-  sim.run();
 }
 
 TEST(ReadyHeap, NextIdlePrefersEarliestThenLowestId) {

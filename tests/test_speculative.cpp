@@ -34,7 +34,7 @@ TEST(Speculative, DisabledMatchesPlainDispatcher) {
   const auto priority = make_priority(inst, PriorityRule::kLongestEstimateFirst);
 
   SpeculationPolicy off;
-  off.enabled = false;
+  off.max_copies = 1;
   const SpeculativeResult spec =
       dispatch_speculative(inst, p, r, priority, speeds, off);
   const DispatchResult plain =
@@ -80,7 +80,7 @@ TEST(Speculative, BackupRescuesTaskOnSlowMachine) {
 
   // Without speculation the task crawls on m0 for 40s.
   SpeculationPolicy off;
-  off.enabled = false;
+  off.max_copies = 1;
   const SpeculativeResult base =
       dispatch_speculative(inst, p, r, identity(2), speeds, off);
   EXPECT_DOUBLE_EQ(base.makespan, 40.0);

@@ -7,8 +7,10 @@
 #include "algo/dispatch_policies.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
+#include "sim/dispatch_kernel.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/transfer_dispatcher.hpp"
+#include "sim/workspace.hpp"
 
 namespace rdp {
 namespace {
@@ -130,6 +132,29 @@ TEST(TransferDispatch, ValidatesInputs) {
   const Placement wide = Placement::singleton({999}, 1000);
   EXPECT_THROW((void)dispatch_with_transfers(inst, wide, r, identity(1), ok),
                std::invalid_argument);
+}
+
+TEST(TransferDispatch, KernelRejectsRemoteCostsItCannotHonour) {
+  // The remote tier is offline-only, and needs a non-negative cost for
+  // every task.
+  Instance inst = Instance::from_estimates({1.0, 1.0}, 2, 1.0);
+  const Placement p = Placement::singleton({0, 0}, 2);
+  const Realization r = exact_realization(inst);
+  Schedule schedule;
+  DispatchTrace trace;
+  const auto run = [&](std::vector<Time> arrivals, std::vector<Time> cost) {
+    (void)run_dispatch_kernel("test", inst, p, r, identity(2), arrivals, {}, {}, cost,
+                              thread_workspace(), schedule, trace);
+  };
+  EXPECT_THROW(run({0.0, 1.0}, {0.5, 0.5}), std::invalid_argument);
+  EXPECT_THROW(run({}, {0.5}), std::invalid_argument);
+  EXPECT_THROW(run({}, {0.5, -1.0}), std::invalid_argument);
+  EXPECT_THROW(run({}, {0.5, std::numeric_limits<Time>::quiet_NaN()}),
+               std::invalid_argument);
+  run({}, {0.5, 0.5});
+  EXPECT_EQ(trace.size(), 2u);
+  EXPECT_EQ(schedule.assignment[1], 1u);  // machine 1 holds no replica
+  EXPECT_DOUBLE_EQ(schedule.finish[1], 1.5);
 }
 
 TEST(TransferDispatch, TraceCoversAllTasks) {

@@ -2,9 +2,10 @@
 # baseline: for each BENCH_<name>.json (the BENCH_*_smoke.json run outputs
 # of `ctest -L bench_smoke` excluded), `rdp_cli perf compare
 # --baseline=bench/baselines/<name>.json --current=BENCH_<name>.json
-# --warn-only --enforce-exact` must exit 0. Timing drift is reported but
-# tolerated; params drift, a vanished metric or an exact-class change
-# fails, and so does a record with no baseline.
+# --warn-only --enforce-exact` must exit 0, and both files must carry the
+# same record name (the bench's). Timing drift is reported but tolerated;
+# params drift, a vanished metric, an exact-class change or a renamed
+# record fails, and so does a record with no baseline.
 #
 # Usage: cmake -DCLI=<rdp_cli> -DROOT=<source dir> -P check_committed_records.cmake
 if(NOT DEFINED CLI OR NOT DEFINED ROOT)
@@ -22,6 +23,14 @@ foreach(record IN LISTS records)
   if(NOT EXISTS "${baseline}")
     list(APPEND failed "${record}: no baseline bench/baselines/${name}.json")
     continue()
+  endif()
+  file(READ "${baseline}" baseline_json)
+  file(READ "${ROOT}/${record}" record_json)
+  string(JSON baseline_name GET "${baseline_json}" name)
+  string(JSON record_name GET "${record_json}" name)
+  if(NOT baseline_name STREQUAL record_name)
+    list(APPEND failed
+         "${record}: record name '${record_name}' but baseline name '${baseline_name}'")
   endif()
   execute_process(
     COMMAND "${CLI}" perf compare "--baseline=${baseline}"

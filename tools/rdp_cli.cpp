@@ -1039,7 +1039,6 @@ struct VerdictFlags {
 /// stamp git sha and host into a committed baseline.
 int cmd_perf_record(Args& args, Session& session) {
   std::vector<std::string> inputs = args.texts("in", "", "bench records");
-  const std::string name = args.text("name", "", "record name (default: the bench's)");
   std::string out = args.text("out", "", "output (default: bench/baselines/NAME.json)");
   const std::vector<std::string> pos = args.positionals("FILE", "more bench records");
   inputs.insert(inputs.end(), pos.begin(), pos.end());
@@ -1053,7 +1052,6 @@ int cmd_perf_record(Args& args, Session& session) {
   runs.reserve(inputs.size());
   for (const std::string& path : inputs) runs.push_back(perf::load_bench_file(path));
   perf::BenchRecord record = perf::merge_repeats(runs);
-  if (args.given("name")) record.name = name;
   record.git_sha = repro::read_git_sha(".");
   record.host = perf::host_fingerprint();
 
